@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use tell_bench::{fmt_pct, section, table_header, table_row};
 use tell_common::{Error, SimClock};
 use tell_netsim::{NetMeter, NetworkProfile, TrafficStats};
-use tell_store::{StoreClient, StoreCluster, StoreConfig};
+use tell_store::{StoreApi, StoreClient, StoreCluster, StoreConfig};
 
 const RECORDS: u64 = 2_000;
 const OPS: usize = 20_000;

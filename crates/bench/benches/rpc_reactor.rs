@@ -25,11 +25,12 @@ use bytes::Bytes;
 use tell_bench::{fmt_k, section, table_header, table_row};
 use tell_commitmgr::manager::CmConfig;
 use tell_commitmgr::{CmCluster, CommitService};
+use tell_common::IsolationLevel;
 use tell_rpc::{
     BlockingServer, Connection, PendingReply, ReactorConfig, RemoteEndpoint, Request, Response,
     RpcServer, Services,
 };
-use tell_store::{StoreCluster, StoreConfig};
+use tell_store::{StoreCluster, StoreConfig, StoreOp};
 
 /// In-flight commit cycles per worker connection pair.
 const DEPTH: usize = 8;
@@ -92,12 +93,12 @@ fn commit_once(
     key: &Bytes,
     hint: u64,
 ) -> Result<(), tell_common::Error> {
-    let (started, _, _) = cm.call(&Request::CmStart { hint })?;
+    let (started, _, _) = cm.call(&Request::CmStart { hint, level: IsolationLevel::Si })?;
     let tid = match started {
         Response::TxnStarted { tid, .. } => tid,
         other => panic!("CmStart answered {other:?}"),
     };
-    sn.call(&Request::Increment { key: key.clone(), delta: 1 })?;
+    sn.call(&Request::Op(StoreOp::Increment { key: key.clone(), delta: 1 }))?;
     cm.call(&Request::CmComplete { tid, committed: true })?;
     Ok(())
 }
@@ -112,7 +113,7 @@ enum Cycle {
 
 impl Cycle {
     fn start(cm: &Connection, hint: u64) -> Result<Cycle, tell_common::Error> {
-        Ok(Cycle::Starting(cm.call_async(&Request::CmStart { hint })?))
+        Ok(Cycle::Starting(cm.call_async(&Request::CmStart { hint, level: IsolationLevel::Si })?))
     }
 
     /// Wait out this cycle's pending reply and issue the next request.
@@ -130,7 +131,8 @@ impl Cycle {
                     Response::TxnStarted { tid, .. } => tid,
                     other => panic!("CmStart answered {other:?}"),
                 };
-                let next = sn.call_async(&Request::Increment { key: key.clone(), delta: 1 })?;
+                let next =
+                    sn.call_async(&Request::Op(StoreOp::Increment { key: key.clone(), delta: 1 }))?;
                 Ok((Cycle::Writing(next, tid), false))
             }
             Cycle::Writing(reply, tid) => {

@@ -769,21 +769,7 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
             self.pn.client().multi_write_async(ops).wait()?
         } else {
             // Ablation mode: one exchange per update.
-            ops.into_iter()
-                .map(|op| {
-                    let client = self.pn.client();
-                    match op.value {
-                        Some(v) => match op.expect {
-                            tell_store::Expect::Absent => client.insert(&op.key, v).map(Some),
-                            tell_store::Expect::Token(t) => {
-                                client.store_conditional(&op.key, t, v).map(Some)
-                            }
-                            tell_store::Expect::Any => client.put(&op.key, v).map(Some),
-                        },
-                        None => client.delete(&op.key).map(|_| None),
-                    }
-                })
-                .collect()
+            ops.into_iter().map(|op| self.pn.client().write_async(op).wait()).collect()
         };
         let conflicted = results.iter().any(|r| r.is_err());
         let install_status = if conflicted { SpanStatus::Conflict } else { SpanStatus::Ok };

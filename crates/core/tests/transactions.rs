@@ -9,6 +9,7 @@ use tell_core::database::IndexSpec;
 use tell_core::gc::run_gc;
 use tell_core::recovery::recover_failed_pn;
 use tell_core::{BufferConfig, Database, TellConfig};
+use tell_store::StoreApi;
 
 /// Test rows: `[pk: u64 BE][group: u8][payload...]`.
 fn row(pk: u64, group: u8, payload: &str) -> Bytes {

@@ -47,6 +47,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
+use tell_common::codec::{Reader, Writer};
 use tell_common::{Error, Result};
 
 use crate::registry::Counter;
@@ -487,6 +488,52 @@ pub struct ProfileReport {
     pub locks: Vec<LockStat>,
     /// Per-frame allocation totals; empty unless built with `prof-alloc`.
     pub alloc: Vec<AllocStat>,
+}
+
+impl ProfileReport {
+    /// Append the wire encoding.
+    pub fn encode(&self, w: &mut impl Writer) {
+        w.put_u8(u8::from(self.running));
+        w.put_f64(self.hz);
+        w.put_u64(self.samples);
+        w.put_u64(self.idle);
+        w.put_u64(self.dropped);
+        w.put_string(&self.folded);
+        w.put_u32(self.locks.len() as u32);
+        for l in &self.locks {
+            w.put_string(&l.name);
+            w.put_u64(l.contended);
+            w.put_u64(l.wait_us);
+        }
+        w.put_u32(self.alloc.len() as u32);
+        for a in &self.alloc {
+            w.put_string(&a.frame);
+            w.put_u64(a.allocs);
+            w.put_u64(a.bytes);
+        }
+    }
+
+    /// Decode one report from the reader.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        let running = match r.u8()? {
+            0 => false,
+            1 => true,
+            t => return Err(Error::corrupt(format!("bad bool tag {t}"))),
+        };
+        let (hz, samples, idle, dropped, folded) =
+            (r.f64()?, r.u64()?, r.u64()?, r.u64()?, r.string()?);
+        let n = r.u32()? as usize;
+        let mut locks = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            locks.push(LockStat { name: r.string()?, contended: r.u64()?, wait_us: r.u64()? });
+        }
+        let n = r.u32()? as usize;
+        let mut alloc = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            alloc.push(AllocStat { frame: r.string()?, allocs: r.u64()?, bytes: r.u64()? });
+        }
+        Ok(ProfileReport { running, hz, samples, idle, dropped, folded, locks, alloc })
+    }
 }
 
 // ---------------------------------------------------------------------------

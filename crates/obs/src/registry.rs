@@ -109,20 +109,18 @@ metric_ids! {
         RpcClientBytesOut => "rpc_client_bytes_out_total",
         /// Payload bytes received by RPC clients.
         RpcClientBytesIn => "rpc_client_bytes_in_total",
-        /// `Request::Get` frames served.
+        /// `StoreOp::Get` operations served, bare or inside a batch.
         ReqGet => "rpc_req_get_total",
-        /// `Request::MultiGet` frames served.
+        /// `StoreOp::MultiGet` operations served.
         ReqMultiGet => "rpc_req_multi_get_total",
-        /// `Request::Write` frames served.
+        /// `StoreOp::Write` operations served.
         ReqWrite => "rpc_req_write_total",
-        /// `Request::MultiWrite` frames served.
+        /// `StoreOp::MultiWrite` operations served.
         ReqMultiWrite => "rpc_req_multi_write_total",
-        /// `Request::Increment` frames served.
+        /// `StoreOp::Increment` operations served.
         ReqIncrement => "rpc_req_increment_total",
         /// `Request::Scan` frames served.
         ReqScan => "rpc_req_scan_total",
-        /// `Request::ScanPrefix` frames served.
-        ReqScanPrefix => "rpc_req_scan_prefix_total",
         /// `Request::ScanPrefixFiltered` frames served.
         ReqScanPrefixFiltered => "rpc_req_scan_prefix_filtered_total",
         /// `Request::Ping` frames served.

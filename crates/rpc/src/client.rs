@@ -41,15 +41,12 @@ use tell_commitmgr::{CmEndpoint, CommitParticipant, CommitService, TxnStart};
 use tell_common::{Error, IsolationLevel, Result, TxnId};
 use tell_netsim::NetMeter;
 use tell_store::{
-    BatchDriver, Expect, Key, OpHandle, OpResult, Predicate, StoreApi, StoreEndpoint, StoreOp,
-    Token, WriteOp,
+    BatchDriver, Key, OpHandle, OpResult, Predicate, StoreApi, StoreEndpoint, StoreOp, Token,
 };
 
 use tell_obs::{Counter, Phase, SpanKind, SpanStatus, SpanTimer};
 
-use crate::wire::{
-    read_frame, split_trace, write_frame_ctx, Request, Response, TraceContext, FRAME_HEADER,
-};
+use crate::wire::{header_len, read_frame, write_frame, Request, Response, TraceContext};
 
 fn unavailable(what: impl std::fmt::Display) -> Error {
     Error::Unavailable(what.to_string())
@@ -135,32 +132,6 @@ impl Connection {
         request: &Request,
         trace: Option<u64>,
     ) -> Result<(Response, usize, usize, Option<u64>)> {
-        self.call_encoded(request.encode(), trace)
-    }
-
-    /// [`Connection::call`] with the isolation-level suffix appended to
-    /// the message bytes, for requests beginning a transaction at a
-    /// non-default level.
-    pub fn call_with_isolation(
-        &self,
-        request: &Request,
-        level: IsolationLevel,
-    ) -> Result<(Response, usize, usize)> {
-        let mut body = request.encode();
-        crate::wire::append_isolation(&mut body, level);
-        let (response, sent, received, _) = self.call_encoded(body, tell_obs::current_trace())?;
-        Ok((response, sent, received))
-    }
-
-    fn call_encoded(
-        &self,
-        body: Vec<u8>,
-        trace: Option<u64>,
-    ) -> Result<(Response, usize, usize, Option<u64>)> {
-        let shared = &self.shared;
-        if shared.dead.load(Ordering::SeqCst) {
-            return Err(unavailable(format!("connection to {} is closed", shared.addr)));
-        }
         // One span per round trip. Its id rides the frame so the server's
         // dispatch span parents onto it; the span itself parents onto
         // whatever is current on this thread (a txn phase, a batch flush).
@@ -169,52 +140,17 @@ impl Connection {
         let _frame = tell_obs::FrameGuard::enter(tell_obs::FrameKind::RpcClientCall);
         let ctx = trace
             .map(|t| TraceContext { trace: t, parent_span: span.as_ref().map_or(0, |s| s.id()) });
-        let prefix = match ctx {
-            None => 0,
-            Some(c) if c.parent_span == 0 => 9,
-            Some(_) => 17,
-        };
-        let sent = FRAME_HEADER + body.len() + prefix;
-        let corr_id = shared.next_corr.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        shared.pending.lock().insert(corr_id, tx);
-        // Re-check after registering: if the reader died in between, it may
-        // already have drained `pending` without seeing our entry.
-        if shared.dead.load(Ordering::SeqCst) {
-            shared.pending.lock().remove(&corr_id);
-            return Err(unavailable(format!("connection to {} is closed", shared.addr)));
+        let outcome = self.send(request, ctx).and_then(PendingReply::recv);
+        if let Some(span) = span {
+            let (count, status) = match &outcome {
+                Ok((Response::Error(Error::Conflict), ..)) => (1, SpanStatus::Conflict),
+                Ok((Response::Error(_), ..)) => (1, SpanStatus::Error),
+                Ok(_) => (1, SpanStatus::Ok),
+                Err(_) => (0, SpanStatus::Error),
+            };
+            span.finish(0.0, count, status);
         }
-        {
-            let mut writer = shared.writer.lock();
-            if let Err(e) = write_frame_ctx(&mut *writer, corr_id, ctx, &body) {
-                drop(writer);
-                shared.mark_dead();
-                return Err(unavailable(format!("send to {} failed: {e}", shared.addr)));
-            }
-        }
-        tell_obs::incr(Counter::RpcClientFramesOut);
-        tell_obs::add(Counter::RpcClientBytesOut, sent as u64);
-        match rx.recv() {
-            Ok((response, received, echoed)) => {
-                tell_obs::incr(Counter::RpcClientFramesIn);
-                tell_obs::add(Counter::RpcClientBytesIn, received as u64);
-                if let Some(span) = span {
-                    let status = match &response {
-                        Response::Error(crate::wire::WireError::Conflict) => SpanStatus::Conflict,
-                        Response::Error(_) => SpanStatus::Error,
-                        _ => SpanStatus::Ok,
-                    };
-                    span.finish(0.0, 1, status);
-                }
-                Ok((response, sent, received, echoed))
-            }
-            Err(_) => {
-                if let Some(span) = span {
-                    span.finish(0.0, 0, SpanStatus::Error);
-                }
-                Err(unavailable(format!("connection to {} dropped mid-call", shared.addr)))
-            }
-        }
+        outcome
     }
 
     /// Send one request without waiting for its reply. The returned
@@ -223,29 +159,32 @@ impl Connection {
     /// work with its own — the client half of pipelining. Untraced: a
     /// pipelined caller is a throughput path, not a waterfall.
     pub fn call_async(&self, request: &Request) -> Result<PendingReply> {
+        self.send(request, None)
+    }
+
+    /// The one send path: register a reply slot, write the frame, count
+    /// it. A dead connection fails fast; a failed write kills it.
+    fn send(&self, request: &Request, ctx: Option<TraceContext>) -> Result<PendingReply> {
         let shared = &self.shared;
+        let closed = || unavailable(format!("connection to {} is closed", shared.addr));
         if shared.dead.load(Ordering::SeqCst) {
-            return Err(unavailable(format!("connection to {} is closed", shared.addr)));
+            return Err(closed());
         }
         let body = request.encode();
-        let sent = FRAME_HEADER + body.len();
         let corr_id = shared.next_corr.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
         shared.pending.lock().insert(corr_id, tx);
-        // Same re-check as `call_traced`: the reader may have died and
-        // drained `pending` between our liveness check and the insert.
+        // Re-check after registering: if the reader died in between, it may
+        // already have drained `pending` without seeing our entry.
         if shared.dead.load(Ordering::SeqCst) {
             shared.pending.lock().remove(&corr_id);
-            return Err(unavailable(format!("connection to {} is closed", shared.addr)));
+            return Err(closed());
         }
-        {
-            let mut writer = shared.writer.lock();
-            if let Err(e) = write_frame_ctx(&mut *writer, corr_id, None, &body) {
-                drop(writer);
-                shared.mark_dead();
-                return Err(unavailable(format!("send to {} failed: {e}", shared.addr)));
-            }
-        }
+        let written = write_frame(&mut *shared.writer.lock(), corr_id, ctx, &body);
+        let sent = written.map_err(|e| {
+            shared.mark_dead();
+            unavailable(format!("send to {} failed: {e}", shared.addr))
+        })?;
         tell_obs::incr(Counter::RpcClientFramesOut);
         tell_obs::add(Counter::RpcClientBytesOut, sent as u64);
         Ok(PendingReply { shared: Arc::clone(shared), rx, sent })
@@ -270,16 +209,17 @@ impl PendingReply {
     /// Block for the reply. Returns the response plus the frame sizes sent
     /// and received, exactly like [`Connection::call`].
     pub fn wait(self) -> Result<(Response, usize, usize)> {
-        match self.rx.recv() {
-            Ok((response, received, _)) => {
-                tell_obs::incr(Counter::RpcClientFramesIn);
-                tell_obs::add(Counter::RpcClientBytesIn, received as u64);
-                Ok((response, self.sent, received))
-            }
-            Err(_) => {
-                Err(unavailable(format!("connection to {} dropped mid-call", self.shared.addr)))
-            }
-        }
+        let (response, sent, received, _) = self.recv()?;
+        Ok((response, sent, received))
+    }
+
+    fn recv(self) -> Result<(Response, usize, usize, Option<u64>)> {
+        let (response, received, echoed) = self.rx.recv().map_err(|_| {
+            unavailable(format!("connection to {} dropped mid-call", self.shared.addr))
+        })?;
+        tell_obs::incr(Counter::RpcClientFramesIn);
+        tell_obs::add(Counter::RpcClientBytesIn, received as u64);
+        Ok((response, self.sent, received, echoed))
     }
 }
 
@@ -291,24 +231,19 @@ impl Drop for Connection {
 
 fn reader_loop(stream: TcpStream, shared: Arc<ConnShared>) {
     let mut reader = BufReader::new(stream);
-    while let Ok(Some((corr_id, body))) = read_frame(&mut reader) {
-        let received = FRAME_HEADER + body.len();
-        let response = match split_trace(&body)
-            .and_then(|(trace, msg)| Response::decode(msg).map(|response| (trace, response)))
-        {
-            Ok((trace, r)) => (r, trace),
-            Err(e) => {
-                // A frame that parses as a frame but not as a message means
-                // the stream is desynchronized: surface the error to the
-                // waiting caller, then kill the connection.
-                if let Some(tx) = shared.pending.lock().remove(&corr_id) {
-                    let _ = tx.send((Response::Error(e.into()), received, None));
-                }
-                break;
-            }
-        };
+    while let Ok(Some((corr_id, ctx, body))) = read_frame(&mut reader) {
+        let received = header_len(ctx) + body.len();
+        // A frame that parses as a frame but not as a message means the
+        // stream is desynchronized: surface the error to the waiting
+        // caller, then kill the connection.
+        let decoded = Response::decode(&body);
+        let desynced = decoded.is_err();
         if let Some(tx) = shared.pending.lock().remove(&corr_id) {
-            let _ = tx.send((response.0, received, response.1));
+            let response = decoded.unwrap_or_else(Response::Error);
+            let _ = tx.send((response, received, ctx.map(|c| c.trace)));
+        }
+        if desynced {
+            break;
         }
     }
     shared.mark_dead();
@@ -371,12 +306,8 @@ impl RpcChannel {
     /// top-level `Response::Error` into a typed `Err` — the shape every
     /// non-windowed caller wants.
     pub fn request(&self, request: &Request, meter: &NetMeter) -> Result<Response> {
-        let (response, sent, received) = self.call(request)?;
-        meter.charge_real(sent, received);
-        match response {
-            Response::Error(e) => Err(e.into()),
-            other => Ok(other),
-        }
+        let conn = self.connection()?;
+        call_and_charge(&conn, request, meter)
     }
 }
 
@@ -434,16 +365,11 @@ impl SubmitWindow {
         if queued.is_empty() {
             return;
         }
-        let (tickets, ops): (Vec<u64>, Vec<StoreOp>) = queued.into_iter().unzip();
-        let mut requests: Vec<Request> = ops.iter().map(op_to_request).collect();
-        let n = requests.len();
+        let (tickets, mut ops): (Vec<u64>, Vec<StoreOp>) = queued.into_iter().unzip();
+        let n = ops.len();
         tell_obs::observe(Phase::BatchWindow, n as f64);
-        let single = n == 1;
-        let request = if single {
-            requests.pop().expect("one request")
-        } else {
-            Request::Batch { ops: requests }
-        };
+        let request =
+            if n == 1 { Request::Op(ops.pop().expect("one op")) } else { Request::Batch { ops } };
         // Injected batch-flush stall (simulation harness): widens the
         // window in which the server side can fail underneath queued ops.
         let stall = crate::fault::flush_stall_us();
@@ -460,53 +386,22 @@ impl SubmitWindow {
             let status = if outcome.is_ok() { SpanStatus::Ok } else { SpanStatus::Error };
             span.finish(self.meter.clock().now_us(), n as u32, status);
         }
-        let mut state = self.state.borrow_mut();
-        match outcome {
-            Err(e) => {
-                for ticket in tickets {
-                    state.done.insert(ticket, Err(e.clone()));
-                }
-            }
+        // Transport failures and top-level errors (e.g. "this node does not
+        // serve storage") apply to every op in the frame.
+        let all_fail = |e: Error| (0..n).map(|_| Err(e.clone())).collect();
+        let results: Vec<Result<OpResult>> = match outcome {
+            Err(e) => all_fail(e),
             Ok((response, sent, received)) => {
                 self.meter.charge_real(sent, received);
-                let per_op: Vec<Response> = if single {
-                    vec![response]
-                } else {
-                    match response {
-                        Response::Batch { results } if results.len() == n => results,
-                        Response::Batch { results } => {
-                            let e = Error::corrupt(format!(
-                                "batch of {n} ops answered with {} results",
-                                results.len()
-                            ));
-                            for ticket in tickets {
-                                state.done.insert(ticket, Err(e.clone()));
-                            }
-                            return;
-                        }
-                        // A top-level error (e.g. "this node does not serve
-                        // storage") applies to every op in the frame.
-                        Response::Error(e) => {
-                            let e: Error = e.into();
-                            for ticket in tickets {
-                                state.done.insert(ticket, Err(e.clone()));
-                            }
-                            return;
-                        }
-                        other => {
-                            let e = unexpected("batch", other);
-                            for ticket in tickets {
-                                state.done.insert(ticket, Err(e.clone()));
-                            }
-                            return;
-                        }
-                    }
-                };
-                for ((ticket, op), response) in tickets.into_iter().zip(&ops).zip(per_op) {
-                    state.done.insert(ticket, complete_op(op, response));
+                match response {
+                    Response::Op(result) if n == 1 => vec![Ok(result)],
+                    Response::Batch { results } if n > 1 && results.len() == n => results,
+                    Response::Error(e) => all_fail(e),
+                    other => all_fail(unexpected(&format!("a window of {n} ops"), other)),
                 }
             }
-        }
+        };
+        self.state.borrow_mut().done.extend(tickets.into_iter().zip(results));
     }
 }
 
@@ -520,33 +415,6 @@ impl BatchDriver for SubmitWindow {
             .done
             .remove(&ticket)
             .unwrap_or_else(|| Err(Error::corrupt("op handle resolved twice or never enqueued")))
-    }
-}
-
-fn op_to_request(op: &StoreOp) -> Request {
-    match op {
-        StoreOp::Get { key } => Request::Get { key: key.clone() },
-        StoreOp::MultiGet { keys } => Request::MultiGet { keys: keys.clone() },
-        StoreOp::Write { op } => Request::Write { op: op.clone() },
-        StoreOp::MultiWrite { ops } => Request::MultiWrite { ops: ops.clone() },
-        StoreOp::Increment { key, delta } => Request::Increment { key: key.clone(), delta: *delta },
-    }
-}
-
-/// Map one nested response back to its op's completion, losslessly: a
-/// nested `Response::Error` becomes that op's typed `Err` without touching
-/// its window-mates; a shape mismatch is a protocol corruption.
-fn complete_op(op: &StoreOp, response: Response) -> Result<OpResult> {
-    match (op, response) {
-        (_, Response::Error(e)) => Err(e.into()),
-        (StoreOp::Get { .. }, Response::Cell(cell)) => Ok(OpResult::Cell(cell)),
-        (StoreOp::MultiGet { .. }, Response::Cells(cells)) => Ok(OpResult::Cells(cells)),
-        (StoreOp::Write { .. }, Response::Written(token)) => Ok(OpResult::Written(token)),
-        (StoreOp::MultiWrite { .. }, Response::WriteResults(results)) => {
-            Ok(OpResult::WriteResults(results.into_iter().map(|r| r.map_err(Into::into)).collect()))
-        }
-        (StoreOp::Increment { .. }, Response::Counter(v)) => Ok(OpResult::Counter(v)),
-        (_, other) => Err(unexpected("batched op", other)),
     }
 }
 
@@ -580,16 +448,30 @@ impl RemoteStoreClient {
         RemoteStoreClient { window, meter }
     }
 
-    /// Direct (non-windowed) exchange, for scans and probes. Flushes the
-    /// window first so previously submitted operations are applied before
-    /// this request reaches the server.
-    fn call(&self, request: &Request) -> Result<Response> {
+    /// Direct (non-windowed) exchange, for scans. Flushes the window
+    /// first so previously submitted operations are applied before this
+    /// request reaches the server.
+    fn rows(&self, request: &Request) -> Result<Vec<(Key, Token, Bytes)>> {
         self.window.flush();
-        self.window.channel.request(request, &self.meter)
+        match self.window.channel.request(request, &self.meter)? {
+            Response::Rows(rows) => Ok(rows),
+            other => Err(unexpected("scan", other)),
+        }
     }
 
-    fn unexpected(context: &str, response: Response) -> Error {
-        unexpected(context, response)
+    fn scan(
+        &self,
+        start: &[u8],
+        end: Option<&[u8]>,
+        limit: usize,
+        reverse: bool,
+    ) -> Result<Vec<(Key, Token, Bytes)>> {
+        self.rows(&Request::Scan {
+            start: Bytes::copy_from_slice(start),
+            end: end.map(Bytes::copy_from_slice),
+            limit: limit as u64,
+            reverse,
+        })
     }
 }
 
@@ -597,45 +479,6 @@ impl StoreApi for RemoteStoreClient {
     fn submit(&self, op: StoreOp) -> OpHandle {
         let ticket = self.window.enqueue(op);
         OpHandle::pending(Rc::clone(&self.window) as Rc<dyn BatchDriver>, ticket)
-    }
-
-    fn get(&self, key: &Key) -> Result<Option<(Token, Bytes)>> {
-        self.get_async(key).wait()
-    }
-
-    fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<(Token, Bytes)>>> {
-        self.multi_get_async(keys).wait()
-    }
-
-    fn put(&self, key: &Key, value: Bytes) -> Result<Token> {
-        self.write_expecting_token(WriteOp::put(key.clone(), Expect::Any, value), "put")
-    }
-
-    fn insert(&self, key: &Key, value: Bytes) -> Result<Token> {
-        self.write_expecting_token(WriteOp::put(key.clone(), Expect::Absent, value), "insert")
-    }
-
-    fn store_conditional(&self, key: &Key, token: Token, value: Bytes) -> Result<Token> {
-        self.write_expecting_token(
-            WriteOp::put(key.clone(), Expect::Token(token), value),
-            "store_conditional",
-        )
-    }
-
-    fn delete_conditional(&self, key: &Key, token: Token) -> Result<()> {
-        self.write_async(WriteOp::delete(key.clone(), Expect::Token(token))).wait().map(|_| ())
-    }
-
-    fn delete(&self, key: &Key) -> Result<()> {
-        self.write_async(WriteOp::delete(key.clone(), Expect::Any)).wait().map(|_| ())
-    }
-
-    fn multi_write(&self, ops: Vec<WriteOp>) -> Result<Vec<Result<Option<Token>>>> {
-        self.multi_write_async(ops).wait()
-    }
-
-    fn increment(&self, key: &Key, delta: u64) -> Result<u64> {
-        self.increment_async(key, delta).wait()
     }
 
     fn scan_range(
@@ -656,19 +499,9 @@ impl StoreApi for RemoteStoreClient {
         self.scan(start, end, limit, true)
     }
 
-    fn scan_prefix(&self, prefix: &[u8], limit: usize) -> Result<Vec<(Key, Token, Bytes)>> {
-        let request =
-            Request::ScanPrefix { prefix: Bytes::copy_from_slice(prefix), limit: limit as u64 };
-        match self.call(&request)? {
-            Response::Rows(rows) => Ok(rows),
-            other => Err(Self::unexpected("scan_prefix", other)),
-        }
-    }
-
-    /// The predicate is serializable, so it travels in the request and the
-    /// storage node evaluates it before framing the response: only matching
-    /// rows cross the network — the paper's §5.2 selection pushdown, now
-    /// real on the remote path too.
+    /// The predicate travels in the request and the storage node evaluates
+    /// it before framing the response: only matching rows cross the
+    /// network (§5.2 selection pushdown).
     fn scan_prefix_pushdown(
         &self,
         prefix: &[u8],
@@ -679,47 +512,15 @@ impl StoreApi for RemoteStoreClient {
         // must be infallible by the time the frame is built.
         let mut scratch = Vec::new();
         filter.encode_into(&mut scratch)?;
-        let request = Request::ScanPrefixFiltered {
+        self.rows(&Request::ScanPrefixFiltered {
             prefix: Bytes::copy_from_slice(prefix),
             limit: limit as u64,
             predicate: filter.clone(),
-        };
-        match self.call(&request)? {
-            Response::Rows(rows) => Ok(rows),
-            other => Err(Self::unexpected("scan_prefix_pushdown", other)),
-        }
+        })
     }
 
     fn meter(&self) -> &NetMeter {
         &self.meter
-    }
-}
-
-impl RemoteStoreClient {
-    fn write_expecting_token(&self, op: WriteOp, context: &str) -> Result<Token> {
-        match self.write_async(op).wait()? {
-            Some(token) => Ok(token),
-            None => Err(Error::corrupt(format!("{context} returned no token"))),
-        }
-    }
-
-    fn scan(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        limit: usize,
-        reverse: bool,
-    ) -> Result<Vec<(Key, Token, Bytes)>> {
-        let request = Request::Scan {
-            start: Bytes::copy_from_slice(start),
-            end: end.map(Bytes::copy_from_slice),
-            limit: limit as u64,
-            reverse,
-        };
-        match self.call(&request)? {
-            Response::Rows(rows) => Ok(rows),
-            other => Err(Self::unexpected("scan", other)),
-        }
     }
 }
 
@@ -781,27 +582,7 @@ fn call_and_charge(conn: &Connection, request: &Request, meter: &NetMeter) -> Re
     let (response, sent, received) = conn.call(request)?;
     meter.charge_real(sent, received);
     match response {
-        Response::Error(e) => Err(e.into()),
-        other => Ok(other),
-    }
-}
-
-/// [`call_and_charge`] stamping the isolation-level suffix onto the frame
-/// when `level` is not the Si default. The default is sent bare so a
-/// pre-suffix server keeps decoding it.
-fn call_and_charge_iso(
-    conn: &Connection,
-    request: &Request,
-    level: IsolationLevel,
-    meter: &NetMeter,
-) -> Result<Response> {
-    if level == IsolationLevel::Si {
-        return call_and_charge(conn, request, meter);
-    }
-    let (response, sent, received) = conn.call_with_isolation(request, level)?;
-    meter.charge_real(sent, received);
-    match response {
-        Response::Error(e) => Err(e.into()),
+        Response::Error(e) => Err(e),
         other => Ok(other),
     }
 }
@@ -824,13 +605,12 @@ impl CommitService for RemoteCmClient {
                     continue;
                 }
             };
-            match call_and_charge_iso(&conn, &Request::CmStart { hint: hint as u64 }, level, meter)
-            {
+            match call_and_charge(&conn, &Request::CmStart { hint: hint as u64, level }, meter) {
                 Ok(Response::TxnStarted { tid, lav, snapshot }) => {
                     let participant = Arc::new(RemoteParticipant { conn });
                     return Ok((TxnStart { tid, snapshot, lav }, participant));
                 }
-                Ok(other) => return Err(RemoteStoreClient::unexpected("cm_start", other)),
+                Ok(other) => return Err(unexpected("cm_start", other)),
                 Err(Error::Unavailable(w)) => {
                     last_err = Error::Unavailable(w);
                     continue;
@@ -847,7 +627,7 @@ impl CommitService for RemoteCmClient {
         for idx in 0..self.targets.len() {
             match self.call_on(idx, &Request::CmLav, &meter) {
                 Ok(Response::Lav(v)) => lav = Some(lav.map_or(v, |cur| cur.min(v))),
-                Ok(other) => return Err(RemoteStoreClient::unexpected("cm_lav", other)),
+                Ok(other) => return Err(unexpected("cm_lav", other)),
                 Err(Error::Unavailable(_)) => continue,
                 Err(e) => return Err(e),
             }
@@ -862,7 +642,7 @@ impl CommitService for RemoteCmClient {
         for idx in 0..self.targets.len() {
             match self.call_on(idx, &request, &meter) {
                 Ok(Response::Unit) => reached = true,
-                Ok(other) => return Err(RemoteStoreClient::unexpected("cm_resolve", other)),
+                Ok(other) => return Err(unexpected("cm_resolve", other)),
                 Err(Error::Unavailable(_)) => continue,
                 Err(e) => return Err(e),
             }
@@ -879,7 +659,7 @@ impl CommitService for RemoteCmClient {
         for idx in 0..self.targets.len() {
             match self.call_on(idx, &Request::CmSync, meter) {
                 Ok(Response::Unit) => reached = true,
-                Ok(other) => return Err(RemoteStoreClient::unexpected("cm_sync", other)),
+                Ok(other) => return Err(unexpected("cm_sync", other)),
                 Err(Error::Unavailable(_)) => continue,
                 Err(e) => return Err(e),
             }
@@ -903,7 +683,7 @@ impl RemoteParticipant {
     fn complete(&self, tid: TxnId, committed: bool, meter: &NetMeter) -> Result<()> {
         match call_and_charge(&self.conn, &Request::CmComplete { tid, committed }, meter)? {
             Response::Unit => Ok(()),
-            other => Err(RemoteStoreClient::unexpected("cm_complete", other)),
+            other => Err(unexpected("cm_complete", other)),
         }
     }
 }

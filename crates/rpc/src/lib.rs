@@ -40,4 +40,4 @@ pub use client::{
 };
 pub use server::{BlockingServer, ReactorConfig, RpcServer, Services};
 pub use service::{ReplySink, RequestCtx, Router, RpcService};
-pub use wire::{FrameDecoder, Request, Response, WireError, MAX_FRAME};
+pub use wire::{FrameDecoder, Request, Response, MAX_FRAME};

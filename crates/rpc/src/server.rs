@@ -34,7 +34,7 @@ use crate::reactor::Reactor;
 pub use crate::reactor::ReactorConfig;
 pub use crate::service::Services;
 use crate::service::{dispatch_frame, Router, RpcService};
-use crate::wire::{read_frame, write_frame_ctx};
+use crate::wire::{read_frame, write_frame};
 
 /// A running tell-rpc server over the epoll reactor. Dropping it shuts it
 /// down.
@@ -220,7 +220,7 @@ fn handle_connection(stream: TcpStream, peer: SocketAddr, shared: Arc<BlockingSh
     // synchronous, so the closure always fires before the next read.
     let writer = Arc::new(Mutex::new(stream));
     let broken = Arc::new(AtomicBool::new(false));
-    while let Ok(Some((corr_id, body))) = read_frame(&mut reader) {
+    while let Ok(Some((corr_id, ctx, body))) = read_frame(&mut reader) {
         shared.frames.fetch_add(1, Ordering::SeqCst);
         tell_obs::incr(Counter::RpcServerFramesIn);
         tell_obs::add(Counter::RpcServerBytesIn, body.len() as u64);
@@ -238,12 +238,13 @@ fn handle_connection(stream: TcpStream, peer: SocketAddr, shared: Arc<BlockingSh
             shared.service.as_ref(),
             duplicate,
             Some(peer),
+            ctx,
             &body,
-            move |ctx, response| {
+            move |response| {
                 let out = response.encode();
                 tell_obs::incr(Counter::RpcServerFramesOut);
                 tell_obs::add(Counter::RpcServerBytesOut, out.len() as u64);
-                if write_frame_ctx(&mut *reply_writer.lock(), corr_id, ctx, &out).is_err() {
+                if write_frame(&mut *reply_writer.lock(), corr_id, ctx, &out).is_err() {
                     reply_broken.store(true, Ordering::SeqCst);
                 }
             },

@@ -5,12 +5,9 @@
 //! A service receives a decoded [`Request`] plus its [`RequestCtx`] and
 //! answers through a one-shot [`ReplySink`]. The sink is the deferred-
 //! completion seam: a synchronous handler calls it before returning, an
-//! asynchronous one may move it to another thread, and a `Request::Batch`
-//! fans one sink out into per-op sinks with [`ReplySink::batch`] so nested
-//! replies can complete independently and still assemble into one
-//! [`Response::Batch`] in submission order. A sink dropped without a reply
-//! answers a typed error — a lost reply must never strand the caller's
-//! correlation id.
+//! asynchronous one may move it to another thread. A sink dropped without
+//! a reply answers a typed error — a lost reply must never strand the
+//! caller's correlation id.
 //!
 //! [`Router`] is the service the shipped servers run: storage requests go
 //! to the wrapped `StoreCluster`, commit requests to the wrapped
@@ -19,17 +16,16 @@
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use tell_commitmgr::{CommitParticipant, CommitService};
-use tell_common::{Error, IsolationLevel, Result};
+use tell_common::Error;
 use tell_netsim::NetMeter;
 use tell_obs::Counter;
-use tell_store::{Expect, StoreClient, StoreCluster, WriteOp};
+use tell_store::{StoreApi, StoreClient, StoreCluster, StoreOp};
 
-use crate::wire::{decode_request_iso, split_context, Request, Response, TraceContext};
+use crate::wire::{Request, Response, TraceContext};
 
 /// What a server process exposes.
 #[derive(Default)]
@@ -48,9 +44,6 @@ pub struct RequestCtx {
     pub trace: Option<TraceContext>,
     /// The connection's peer address, when the transport has one.
     pub peer: Option<SocketAddr>,
-    /// Isolation level carried in the frame's trailing suffix; `None`
-    /// (the common case) means the server-side default applies.
-    pub isolation: Option<IsolationLevel>,
 }
 
 /// One-shot completion handle for a request. Consuming it (`send`) routes
@@ -78,52 +71,12 @@ impl ReplySink {
             complete(response);
         }
     }
-
-    /// Split this sink into `n` per-op sinks whose responses assemble into
-    /// one `Response::Batch` in index order once **all** have completed —
-    /// the deferred-completion shape of §5.1 batching: one frame in, one
-    /// frame out, however the per-op work is scheduled.
-    pub fn batch(self, n: usize) -> Vec<ReplySink> {
-        if n == 0 {
-            self.send(Response::Batch { results: Vec::new() });
-            return Vec::new();
-        }
-        struct BatchState {
-            slots: Mutex<Vec<Option<Response>>>,
-            remaining: AtomicUsize,
-            parent: Mutex<Option<ReplySink>>,
-        }
-        let state = Arc::new(BatchState {
-            slots: Mutex::new((0..n).map(|_| None).collect()),
-            remaining: AtomicUsize::new(n),
-            parent: Mutex::new(Some(self)),
-        });
-        (0..n)
-            .map(|i| {
-                let state = Arc::clone(&state);
-                ReplySink::new(move |response| {
-                    state.slots.lock()[i] = Some(response);
-                    if state.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        let results = state
-                            .slots
-                            .lock()
-                            .iter_mut()
-                            .map(|slot| slot.take().expect("all batch slots completed"))
-                            .collect();
-                        if let Some(parent) = state.parent.lock().take() {
-                            parent.send(Response::Batch { results });
-                        }
-                    }
-                })
-            })
-            .collect()
-    }
 }
 
 impl Drop for ReplySink {
     fn drop(&mut self) {
         if let Some(complete) = self.complete.take() {
-            complete(Response::Error(Error::invalid("request dropped without a reply").into()));
+            complete(Response::Error(Error::invalid("request dropped without a reply")));
         }
     }
 }
@@ -164,9 +117,11 @@ impl Router {
                 .map(|commit| CmRoute { commit, participants: Mutex::new(HashMap::new()) }),
         }
     }
+}
 
-    fn call_one(&self, request: Request, isolation: Option<IsolationLevel>) -> Response {
-        match request {
+impl RpcService for Router {
+    fn call(&self, request: Request, _ctx: &RequestCtx, reply: ReplySink) {
+        reply.send(match request {
             Request::Ping => Response::Pong,
             // Served by every node regardless of hosted services: the
             // snapshot is of this process's global registry.
@@ -194,55 +149,28 @@ impl Router {
                 Response::Unit
             }
             Request::ProfileFetch => Response::Profile(tell_obs::prof::fetch()),
-            // The wire decoder already refuses nested batches; keep the
-            // refusal here too so a future in-process caller cannot sneak
-            // one in.
-            Request::Batch { .. } => {
-                Response::Error(Error::invalid("Batch nested inside Batch").into())
-            }
-            Request::Get { .. }
-            | Request::MultiGet { .. }
-            | Request::Write { .. }
-            | Request::MultiWrite { .. }
-            | Request::Increment { .. }
+            Request::Op(_)
+            | Request::Batch { .. }
             | Request::Scan { .. }
-            | Request::ScanPrefix { .. }
             | Request::ScanPrefixFiltered { .. } => match &self.store {
                 Some(cluster) => {
                     with_store_client(cluster, |client| dispatch_store(client, request))
                 }
-                None => Response::Error(
-                    Error::Unsupported("this node does not serve storage".into()).into(),
-                ),
+                None => {
+                    Response::Error(Error::Unsupported("this node does not serve storage".into()))
+                }
             },
             Request::CmStart { .. }
             | Request::CmComplete { .. }
             | Request::CmLav
             | Request::CmSync
             | Request::CmResolve { .. } => match &self.commit {
-                Some(route) => dispatch_commit(route, request, isolation),
-                None => Response::Error(
-                    Error::Unsupported("this node does not serve commit managers".into()).into(),
-                ),
+                Some(route) => dispatch_commit(route, request),
+                None => Response::Error(Error::Unsupported(
+                    "this node does not serve commit managers".into(),
+                )),
             },
-        }
-    }
-}
-
-impl RpcService for Router {
-    fn call(&self, request: Request, ctx: &RequestCtx, reply: ReplySink) {
-        match request {
-            // One frame in, one frame out: each nested op dispatches
-            // independently, so per-op failures travel as nested errors
-            // instead of poisoning the whole window (§5.1 batching).
-            Request::Batch { ops } => {
-                let sinks = reply.batch(ops.len());
-                for (op, sink) in ops.into_iter().zip(sinks) {
-                    sink.send(self.call_one(op, ctx.isolation));
-                }
-            }
-            other => reply.send(self.call_one(other, ctx.isolation)),
-        }
+        });
     }
 }
 
@@ -269,65 +197,42 @@ fn with_store_client<R>(cluster: &Arc<StoreCluster>, f: impl FnOnce(&StoreClient
 }
 
 fn dispatch_store(client: &StoreClient, request: Request) -> Response {
-    let result = match request {
-        Request::Get { key } => client.get(&key).map(Response::Cell),
-        Request::MultiGet { keys } => client.multi_get(&keys).map(Response::Cells),
-        Request::Write { op } => apply_write(client, op).map(Response::Written),
-        Request::MultiWrite { ops } => client.multi_write(ops).map(|results| {
-            Response::WriteResults(results.into_iter().map(|r| r.map_err(Into::into)).collect())
-        }),
-        Request::Increment { key, delta } => client.increment(&key, delta).map(Response::Counter),
+    let rows = match request {
+        Request::Op(op) => {
+            return client.submit(op).wait().map_or_else(Response::Error, Response::Op)
+        }
+        // One frame in, one frame out: each op runs independently, so
+        // per-op failures travel as per-op errors instead of poisoning the
+        // whole window (§5.1 batching).
+        Request::Batch { ops } => {
+            let results = ops.into_iter().map(|op| client.submit(op).wait()).collect();
+            return Response::Batch { results };
+        }
         Request::Scan { start, end, limit, reverse } => {
             let limit = clamp_limit(limit);
             let end = end.as_ref().map(|b| b.as_ref());
             if reverse {
-                client.scan_range_rev(start.as_ref(), end, limit).map(Response::Rows)
+                client.scan_range_rev(start.as_ref(), end, limit)
             } else {
-                client.scan_range(start.as_ref(), end, limit).map(Response::Rows)
+                client.scan_range(start.as_ref(), end, limit)
             }
         }
-        Request::ScanPrefix { prefix, limit } => {
-            client.scan_prefix(prefix.as_ref(), clamp_limit(limit)).map(Response::Rows)
-        }
+        // The §5.2 pushdown: evaluate the predicate here, next to the data,
+        // so only matching rows are framed into the response.
         Request::ScanPrefixFiltered { prefix, limit, predicate } => {
-            // The §5.2 pushdown: evaluate the predicate here, next to the
-            // data, so only matching rows are framed into the response.
-            client
-                .scan_prefix_pushdown(prefix.as_ref(), clamp_limit(limit), &predicate)
-                .map(Response::Rows)
+            client.scan_prefix_pushdown(prefix.as_ref(), clamp_limit(limit), &predicate)
         }
         _ => unreachable!("non-storage request routed to dispatch_store"),
     };
-    result.unwrap_or_else(|e| Response::Error(e.into()))
+    rows.map_or_else(Response::Error, Response::Rows)
 }
 
-/// Route a single conditional write to the store call with exactly its
-/// semantics (see `StoreApi`: put / insert / store-conditional / delete /
-/// delete-conditional are distinct operations, not sugar over one another).
-fn apply_write(client: &StoreClient, op: WriteOp) -> Result<Option<u64>> {
-    match (op.expect, op.value) {
-        (Expect::Any, Some(value)) => client.put(&op.key, value).map(Some),
-        (Expect::Absent, Some(value)) => client.insert(&op.key, value).map(Some),
-        (Expect::Token(token), Some(value)) => {
-            client.store_conditional(&op.key, token, value).map(Some)
-        }
-        (Expect::Token(token), None) => client.delete_conditional(&op.key, token).map(|()| None),
-        (Expect::Any, None) => client.delete(&op.key).map(|()| None),
-        (Expect::Absent, None) => Err(Error::invalid("delete with Expect::Absent is meaningless")),
-    }
-}
-
-fn dispatch_commit(
-    route: &CmRoute,
-    request: Request,
-    isolation: Option<IsolationLevel>,
-) -> Response {
+fn dispatch_commit(route: &CmRoute, request: Request) -> Response {
     // Server threads have no virtual clock; commit-side charges are free.
     let meter = NetMeter::free();
     let commit = route.commit.as_ref();
     let result = match request {
-        Request::CmStart { hint } => {
-            let level = isolation.unwrap_or_default();
+        Request::CmStart { hint, level } => {
             commit.start_pinned(hint as usize, level, &meter).map(|(start, participant)| {
                 route.participants.lock().insert(start.tid.raw(), participant);
                 Response::TxnStarted { tid: start.tid, lav: start.lav, snapshot: start.snapshot }
@@ -352,7 +257,7 @@ fn dispatch_commit(
         }
         _ => unreachable!("non-commit request routed to dispatch_commit"),
     };
-    result.unwrap_or_else(|e| Response::Error(e.into()))
+    result.unwrap_or_else(Response::Error)
 }
 
 fn clamp_limit(limit: u64) -> usize {
@@ -365,19 +270,14 @@ fn clamp_limit(limit: u64) -> usize {
 fn count_request(request: &Request) {
     let reg = tell_obs::global();
     let c = match request {
-        Request::Get { .. } => Counter::ReqGet,
-        Request::MultiGet { .. } => Counter::ReqMultiGet,
-        Request::Write { .. } => Counter::ReqWrite,
-        Request::MultiWrite { .. } => Counter::ReqMultiWrite,
-        Request::Increment { .. } => Counter::ReqIncrement,
+        Request::Op(op) => count_op(op),
         Request::Scan { .. } => Counter::ReqScan,
-        Request::ScanPrefix { .. } => Counter::ReqScanPrefix,
         Request::ScanPrefixFiltered { .. } => Counter::ReqScanPrefixFiltered,
         Request::Ping => Counter::ReqPing,
         Request::Batch { ops } => {
             reg.add(Counter::ReqBatchInnerOps, ops.len() as u64);
             for op in ops {
-                count_request(op);
+                reg.incr(count_op(op));
             }
             Counter::ReqBatch
         }
@@ -396,14 +296,24 @@ fn count_request(request: &Request) {
     reg.incr(c);
 }
 
+fn count_op(op: &StoreOp) -> Counter {
+    match op {
+        StoreOp::Get { .. } => Counter::ReqGet,
+        StoreOp::MultiGet { .. } => Counter::ReqMultiGet,
+        StoreOp::Write { .. } => Counter::ReqWrite,
+        StoreOp::MultiWrite { .. } => Counter::ReqMultiWrite,
+        StoreOp::Increment { .. } => Counter::ReqIncrement,
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Frame-level dispatch, shared by every transport.
 
-/// Decode one frame body and run it through `service`, echoing the frame's
-/// trace context to `reply` along with the response. This is the single
-/// code path both the reactor workers and the blocking baseline server use:
-/// decode → trace adoption → dispatch span → service call → span status —
-/// exactly the sequence the old per-connection loop ran inline.
+/// Decode one frame body and run it through `service`, echoing the
+/// frame's trace context `ctx` to `reply` along with the response. This is
+/// the single code path both the reactor workers and the blocking baseline
+/// server use: decode → trace adoption → dispatch span → service call →
+/// span status.
 ///
 /// `duplicate` re-dispatches the request after answering with the first
 /// result (the fault injector's at-least-once delivery). `CmStart` is
@@ -413,16 +323,14 @@ pub(crate) fn dispatch_frame(
     service: &dyn RpcService,
     duplicate: bool,
     peer: Option<SocketAddr>,
+    ctx: Option<TraceContext>,
     body: &[u8],
-    reply: impl FnOnce(Option<TraceContext>, Response) + Send + 'static,
+    reply: impl FnOnce(Response) + Send + 'static,
 ) {
-    let decoded = split_context(body).and_then(|(ctx, msg)| {
-        decode_request_iso(msg).map(|(request, isolation)| (ctx, request, isolation))
-    });
-    let (ctx, request, isolation) = match decoded {
-        Ok(decoded) => decoded,
+    let request = match Request::decode(body) {
+        Ok(request) => request,
         Err(e) => {
-            reply(None, Response::Error(e.into()));
+            reply(Response::Error(e));
             return;
         }
     };
@@ -448,7 +356,7 @@ pub(crate) fn dispatch_frame(
     let sink = ReplySink::new(move |response| {
         if let Some(span) = span {
             let status = match &response {
-                Response::Error(crate::wire::WireError::Conflict) => tell_obs::SpanStatus::Conflict,
+                Response::Error(Error::Conflict) => tell_obs::SpanStatus::Conflict,
                 Response::Error(_) => tell_obs::SpanStatus::Error,
                 _ => tell_obs::SpanStatus::Ok,
             };
@@ -458,9 +366,9 @@ pub(crate) fn dispatch_frame(
         // straight to the ring (the bounded drop-oldest ring is the
         // server-side retention policy).
         tell_obs::span::flush_pending_to_ring();
-        reply(ctx, response);
+        reply(response);
     });
-    let rctx = RequestCtx { trace: ctx, peer, isolation };
+    let rctx = RequestCtx { trace: ctx, peer };
     if duplicate && !matches!(request, Request::CmStart { .. }) {
         service.call(request.clone(), &rctx, sink);
         service.call(request, &rctx, ReplySink::ignore());

@@ -1,31 +1,31 @@
 //! The tell-rpc wire format.
 //!
-//! Every exchange is a length-prefixed frame:
+//! Every exchange is one length-prefixed frame with one fixed header:
 //!
 //! ```text
-//! v1: [len: u32 LE] [corr_id: u64 LE] [body: len - 8 bytes]
-//! v2: [len: u32 LE] [corr_id: u64 LE] [0xF5] [trace_id: u64 LE] [body]
-//!     [len: u32 LE] [corr_id: u64 LE] [0xF6] [trace_id: u64 LE] [parent_span_id: u64 LE] [body]
+//! [len: u32 LE] [corr_id: u64 LE] [flags: u8]
+//!     [trace: u64 LE, if flags bit 0] [parent_span: u64 LE, if flags bit 1]
+//!     [body]
 //! ```
 //!
-//! where `len` counts everything after itself (correlation id plus body)
-//! and `corr_id` matches a response to its request, so a client can keep
-//! many requests in flight on one connection (pipelining). The body is a
-//! tagged message — one byte of message kind followed by a kind-specific
-//! payload — serialized with `tell_common::codec`, the same little-endian
-//! codec every persistent format in the workspace uses.
+//! `len` counts everything after itself, and `corr_id` matches a response
+//! to its request, so a client can keep many requests in flight on one
+//! connection (pipelining). The optional fields are the frame's
+//! [`TraceContext`]: the trace of the PN-side unit of work that caused the
+//! frame, and the sending span's id, which server dispatch adopts as the
+//! parent of its own span. Servers echo the request's context on the
+//! response. A parent span belongs to a trace, so bit 1 without bit 0 is
+//! [`Error::Corrupt`], as is any other set bit.
 //!
-//! Protocol version 2 ([`FRAME_VERSION`]) may prefix the body with a trace
-//! context attributing the frame to the PN-side unit of work that caused
-//! it: either the [`TRACE_MARKER`] byte and an 8-byte trace id, or the
-//! [`SPAN_MARKER`] byte followed by the trace id *and* the sending span's
-//! id, which server dispatch adopts as the parent of its own span. The
-//! marker values can never start a legitimate message (tags are small
-//! integers), so v1 frames — whose first body byte is the message tag —
-//! still decode, as do span-less v2 frames: receivers call
-//! [`split_context`] and get `None` for untraced frames and a zero
-//! `parent_span` for trace-only frames. Servers echo the request's trace
-//! id on the response.
+//! The body is a tagged message — one byte of message kind followed by a
+//! kind-specific payload — serialized with `tell_common::codec`, the same
+//! little-endian codec every persistent format in the workspace uses. Point
+//! storage operations travel as the store API's own values: a [`StoreOp`]
+//! out (`Request::Op`, or several in one `Request::Batch`, which therefore
+//! cannot nest), an [`OpResult`] back, each shape under one tag (1–5).
+//! Errors travel as `tell_common::Error` itself, so a remote call surfaces
+//! exactly the error the server saw — `Conflict` stays `Conflict`, which
+//! the optimistic transaction layer's retry decision depends on.
 //!
 //! Decoding is strict: a message must consume its body exactly. Trailing
 //! bytes, truncated fields and unknown tags are all [`Error::Corrupt`], so
@@ -37,113 +37,58 @@ use bytes::{Bytes, BytesMut};
 use tell_commitmgr::SnapshotDescriptor;
 use tell_common::codec::{Reader, Writer};
 use tell_common::{Error, IsolationLevel, Result, TxnId};
-use tell_obs::{AllocStat, LockStat, ProfileReport, Span, TelemetryPage};
-use tell_store::{Expect, Key, Predicate, Token, WriteOp};
+use tell_obs::{ProfileReport, Span, TelemetryPage};
+use tell_store::{Expect, Key, OpResult, Predicate, StoreOp, Token, WriteOp};
 
 /// Upper bound on a frame's `len` field. Generous — the largest legitimate
 /// frames are scan results — while still rejecting garbage lengths from a
 /// desynchronized or hostile peer before allocating.
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// Bytes preceding the body on the wire: length prefix + correlation id.
-pub const FRAME_HEADER: usize = 12;
+/// Bytes of the fixed header: length prefix, correlation id, flags.
+pub const FRAME_HEADER: usize = 13;
 
-/// Current protocol version: frames may carry a trace id. Version 1 frames
-/// (no trace) are still produced when there is no trace to attach, and are
-/// always accepted.
-pub const FRAME_VERSION: u8 = 2;
+/// Flags bit: the header carries a trace id.
+const FLAG_TRACE: u8 = 1;
+/// Flags bit: the header carries the sending span's id.
+const FLAG_SPAN: u8 = 2;
 
-/// First body byte of a version-2 frame carrying a trace id. Deliberately
-/// outside the message-tag range so it cannot be confused with a v1 body.
-pub const TRACE_MARKER: u8 = 0xF5;
+/// One decoded frame: correlation id, trace context, message body.
+pub type Frame<B> = (u64, Option<TraceContext>, B);
 
-/// First body byte of a version-2 frame carrying a trace id *and* the
-/// sending span's id (the parent for server-side dispatch spans). Like
-/// [`TRACE_MARKER`], outside the message-tag range.
-pub const SPAN_MARKER: u8 = 0xF6;
-
-/// Final body byte of a version-2 message carrying a per-transaction
-/// isolation level: the message bytes are followed by the two-byte suffix
-/// `[level code][ISO_MARKER]`. The suffix rides *after* the message (the
-/// trace/span prefixes stay first), so every frame generation can carry
-/// it. Decoding is unambiguous because message decoding is strict: a
-/// suffixed body fails the exact-consumption check as a plain message, and
-/// only then is the suffix stripped ([`decode_request_iso`]) — a
-/// legitimate message whose last bytes merely *look* like the suffix
-/// decodes whole and wins. Receivers that predate the suffix reject
-/// suffixed bodies as corrupt instead of misreading them; senders attach
-/// it only to requests that need a non-default level.
-pub const ISO_MARKER: u8 = 0xF4;
-
-/// Append the isolation-level suffix to an encoded message body.
-pub fn append_isolation(body: &mut Vec<u8>, level: IsolationLevel) {
-    body.push(level.code());
-    body.push(ISO_MARKER);
-}
-
-/// Decode a request body that may end with the [`ISO_MARKER`] suffix.
-/// Plain bodies decode to `(request, None)`; suffixed bodies to
-/// `(request, Some(level))`. The plain interpretation is tried first and
-/// wins when it succeeds, so the suffix can never be confused with
-/// message content.
-pub fn decode_request_iso(msg: &[u8]) -> Result<(Request, Option<IsolationLevel>)> {
-    match Request::decode(msg) {
-        Ok(req) => Ok((req, None)),
-        Err(err) => {
-            if msg.len() >= 2 && msg[msg.len() - 1] == ISO_MARKER {
-                if let Some(level) = IsolationLevel::from_code(msg[msg.len() - 2]) {
-                    return Ok((Request::decode(&msg[..msg.len() - 2])?, Some(level)));
-                }
-            }
-            Err(err)
-        }
-    }
-}
-
-/// The trace context a frame may carry ahead of its message body.
+/// The trace context a frame header may carry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceContext {
     /// Trace the frame belongs to.
     pub trace: u64,
     /// Span id of the sending operation; 0 when the sender recorded no
-    /// span (the frame then encodes with [`TRACE_MARKER`] alone).
+    /// span (the header then carries the trace alone).
     pub parent_span: u64,
 }
 
-/// Operations a client may ask of a server. Storage requests (tags 1–10)
-/// mirror `tell_store::StoreApi`; commit requests (tags 16–20) mirror
+/// Operations a client may ask of a server. Storage requests mirror
+/// `tell_store::StoreApi`; commit requests (tags 16–20) mirror
 /// `tell_commitmgr::{CommitService, CommitParticipant}`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
-    /// Load-link one key.
-    Get { key: Key },
-    /// Batched load-link.
-    MultiGet { keys: Vec<Key> },
-    /// One conditional write; `op.expect`/`op.value` select between put,
-    /// insert, store-conditional, delete and delete-conditional.
-    Write { op: WriteOp },
-    /// Batched conditional writes with independent per-op results.
-    MultiWrite { ops: Vec<WriteOp> },
-    /// Atomic fetch-and-add.
-    Increment { key: Key, delta: u64 },
+    /// One point storage operation (tags 1–5, one per [`StoreOp`] shape).
+    Op(StoreOp),
     /// Ordered scan of `[start, end)`; `reverse` walks largest-key-first.
     Scan { start: Key, end: Option<Key>, limit: u64, reverse: bool },
-    /// Scan every key beginning with `prefix`.
-    ScanPrefix { prefix: Key, limit: u64 },
     /// Liveness / round-trip probe.
     Ping,
     /// Several independent point operations in **one** frame (§5.1
     /// "aggressively batches operations"): the server executes them in
-    /// order and answers with a [`Response::Batch`] carrying one nested
-    /// response per op. Nesting a `Batch` inside a `Batch` is a protocol
-    /// error. The batch is a framing optimisation, not an atomic unit.
-    Batch { ops: Vec<Request> },
+    /// order and answers with a [`Response::Batch`] carrying one result
+    /// per op. The batch is a framing optimisation, not an atomic unit.
+    Batch { ops: Vec<StoreOp> },
     /// Prefix scan with a serializable [`Predicate`] evaluated **on the
     /// storage node** (§5.2 selection pushdown): only matching rows are
     /// framed into the response.
     ScanPrefixFiltered { prefix: Key, limit: u64, predicate: Predicate },
-    /// Begin a transaction on the manager `hint` pins the caller to.
-    CmStart { hint: u64 },
+    /// Begin a transaction at `level` on the manager `hint` pins the
+    /// caller to.
+    CmStart { hint: u64, level: IsolationLevel },
     /// Report the outcome of a transaction this server issued.
     CmComplete { tid: TxnId, committed: bool },
     /// Lowest active version across this server's managers.
@@ -152,201 +97,127 @@ pub enum Request {
     CmSync,
     /// Resolve a tid on every live manager (recovery path).
     CmResolve { tid: TxnId, committed: bool },
-    /// Snapshot the server's metrics registry. Answered with
-    /// [`Response::Metrics`] carrying the JSON rendering of a
-    /// `tell_obs::MetricsSnapshot`; any server answers it regardless of
-    /// which services it hosts.
+    /// Snapshot the server's metrics registry. This and the scrape and
+    /// profiler requests below are answered by any server, whatever
+    /// services it hosts.
     Metrics,
-    /// Scrape the server's span ring. Answered with [`Response::Spans`];
-    /// any server answers it regardless of which services it hosts. The
-    /// default (`drain: false`) is a non-destructive peek, so a background
-    /// monitoring poller never steals the traces a one-shot exporter was
-    /// about to collect; `drain: true` removes what it returns (each span
-    /// scraped exactly once). Each mode is its own bodyless tag; the peek
-    /// tag is the one pre-flag peers send, so old scrape bytes still
-    /// decode (and to the non-destructive mode).
+    /// Scrape the server's span ring. `drain: false` is a non-destructive
+    /// peek, so a background poller never steals the traces a one-shot
+    /// exporter was about to collect; `drain: true` removes what it
+    /// returns (each span scraped exactly once).
     Spans { drain: bool },
-    /// Incremental telemetry scrape: the server's time-series ring points
-    /// with `seq > since`, plus the metric-name schema to interpret them.
-    /// Answered with [`Response::Telemetry`]; any server answers it. Pass
-    /// `since: 0` for history from the oldest retained point, then the
-    /// returned `next_cursor` on every later scrape.
+    /// Incremental telemetry scrape: the time-series ring points with
+    /// `seq > since`, plus the metric-name schema to interpret them. Pass
+    /// 0 first, then each answer's `next_cursor`.
     Telemetry { since: u64 },
-    /// Start the server's logical-stack profiler sampling at `hz`
-    /// (non-positive: the server's `TELL_PROF_HZ` / default). Answered
-    /// with [`Response::Unit`]; any server answers it. Starting an
-    /// already-running profiler is a no-op (the running profile keeps
-    /// accumulating).
+    /// Start the logical-stack profiler at `hz` (non-positive: the
+    /// server's `TELL_PROF_HZ` / default); a no-op while it runs.
     ProfileStart { hz: f64 },
     /// Stop the profiler, keeping the accumulated profile fetchable.
-    /// Answered with [`Response::Unit`]; any server answers it.
     ProfileStop,
-    /// Fetch the accumulated profile (running or stopped). Answered with
-    /// [`Response::Profile`]; any server answers it.
+    /// Fetch the accumulated profile (running or stopped).
     ProfileFetch,
 }
 
 /// Server replies. `Error` may answer any request; the others pair with
-/// specific requests (e.g. `Cell` answers `Get`).
+/// specific requests (e.g. `Op` answers `Op`).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
     /// The request failed; carries the typed error.
-    Error(WireError),
-    /// Answer to `Get`.
-    Cell(Option<(Token, Bytes)>),
-    /// Answer to `MultiGet`.
-    Cells(Vec<Option<(Token, Bytes)>>),
-    /// Answer to `Write`: the new token, or `None` for a delete.
-    Written(Option<Token>),
-    /// Answer to `MultiWrite`: independent per-op outcomes.
-    WriteResults(Vec<std::result::Result<Option<Token>, WireError>>),
-    /// Answer to `Increment`.
-    Counter(u64),
-    /// Answer to `Scan` / `ScanPrefix`.
+    Error(Error),
+    /// Answer to `Request::Op` (tags 1–5, one per [`OpResult`] shape).
+    Op(OpResult),
+    /// Answer to `Scan` / `ScanPrefixFiltered`.
     Rows(Vec<(Key, Token, Bytes)>),
     /// Answer to `Ping`.
     Pong,
-    /// Answer to `Request::Batch`: one nested response per nested op, in
-    /// submission order. Per-op failures travel as nested
-    /// [`Response::Error`]s, so one conflicting write does not poison its
-    /// window-mates. Nesting a `Batch` inside a `Batch` is a protocol error.
-    Batch { results: Vec<Response> },
+    /// Answer to `Request::Batch`: one result per op, in submission order.
+    /// Per-op failures travel as per-op errors, so one conflicting write
+    /// does not poison its window-mates.
+    Batch { results: Vec<Result<OpResult>> },
     /// Answer to `CmStart`.
     TxnStarted { tid: TxnId, lav: u64, snapshot: SnapshotDescriptor },
     /// Answer to requests with no payload (`CmComplete`, `CmSync`, ...).
     Unit,
     /// Answer to `CmLav`.
     Lav(u64),
-    /// Answer to `Request::Metrics`: a `tell_obs::MetricsSnapshot` rendered
-    /// as JSON (the wire stays renderer-agnostic; scrapers re-render to
-    /// Prometheus text locally).
+    /// Answer to `Request::Metrics`: a `tell_obs::MetricsSnapshot` as JSON
+    /// (scrapers re-render it to Prometheus text locally).
     Metrics(String),
-    /// Answer to `Request::Spans`: the server's span ring contents, oldest
-    /// first per shard (removed only when the request asked to drain).
+    /// Answer to `Request::Spans`: the span ring, oldest first per shard.
     Spans(Vec<Span>),
-    /// Answer to `Request::Telemetry`: one incremental page of time-series
-    /// points plus the producer's metric-name schema.
+    /// Answer to `Request::Telemetry`: one incremental page.
     Telemetry(TelemetryPage),
-    /// Answer to `Request::ProfileFetch`: the server's collapsed-stack
-    /// profile, lock-contention totals, and (when built with
-    /// `prof-alloc`) allocation totals.
+    /// Answer to `Request::ProfileFetch`.
     Profile(ProfileReport),
-}
-
-/// `tell_common::Error` in wire form. The mapping is lossless in both
-/// directions so a remote call surfaces exactly the error the server saw —
-/// in particular `Conflict` stays `Conflict`, which the optimistic
-/// transaction layer depends on for its retry decision.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireError {
-    Conflict,
-    Aborted(String),
-    NotFound,
-    Unavailable(String),
-    CapacityExceeded { node: u32, capacity: u64 },
-    Corrupt(String),
-    InvalidOperation(String),
-    Parse { message: String, position: u64 },
-    Query(String),
-    Unsupported(String),
-}
-
-impl From<Error> for WireError {
-    fn from(e: Error) -> WireError {
-        match e {
-            Error::Conflict => WireError::Conflict,
-            Error::Aborted(r) => WireError::Aborted(r),
-            Error::NotFound => WireError::NotFound,
-            Error::Unavailable(w) => WireError::Unavailable(w),
-            Error::CapacityExceeded { node, capacity } => {
-                WireError::CapacityExceeded { node, capacity: capacity as u64 }
-            }
-            Error::Corrupt(w) => WireError::Corrupt(w),
-            Error::InvalidOperation(w) => WireError::InvalidOperation(w),
-            Error::Parse { message, position } => {
-                WireError::Parse { message, position: position as u64 }
-            }
-            Error::Query(w) => WireError::Query(w),
-            Error::Unsupported(w) => WireError::Unsupported(w),
-        }
-    }
-}
-
-impl From<WireError> for Error {
-    fn from(e: WireError) -> Error {
-        match e {
-            WireError::Conflict => Error::Conflict,
-            WireError::Aborted(r) => Error::Aborted(r),
-            WireError::NotFound => Error::NotFound,
-            WireError::Unavailable(w) => Error::Unavailable(w),
-            WireError::CapacityExceeded { node, capacity } => {
-                Error::CapacityExceeded { node, capacity: capacity as usize }
-            }
-            WireError::Corrupt(w) => Error::Corrupt(w),
-            WireError::InvalidOperation(w) => Error::InvalidOperation(w),
-            WireError::Parse { message, position } => {
-                Error::Parse { message, position: position as usize }
-            }
-            WireError::Query(w) => Error::Query(w),
-            WireError::Unsupported(w) => Error::Unsupported(w),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Field-level helpers.
 
-fn put_key(out: &mut Vec<u8>, key: &Key) {
-    out.put_bytes(key.as_ref());
+fn put_blob(out: &mut Vec<u8>, blob: &Bytes) {
+    out.put_bytes(blob.as_ref());
 }
 
-fn read_key(r: &mut Reader<'_>) -> Result<Key> {
+fn read_blob(r: &mut Reader<'_>) -> Result<Bytes> {
     Ok(Bytes::copy_from_slice(r.bytes()?))
 }
 
-fn put_opt_key(out: &mut Vec<u8>, key: &Option<Key>) {
-    match key {
-        Some(k) => {
+fn put_seq<T>(out: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
+    out.put_u32(items.len() as u32);
+    for item in items {
+        put(out, item);
+    }
+}
+
+fn read_seq<'a, T>(
+    r: &mut Reader<'a>,
+    mut read: impl FnMut(&mut Reader<'a>) -> Result<T>,
+) -> Result<Vec<T>> {
+    let n = r.u32()? as usize;
+    // The count is untrusted: cap the preallocation, let decoding fail on
+    // the truncated tail instead.
+    let mut items = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        items.push(read(r)?);
+    }
+    Ok(items)
+}
+
+fn put_opt<T>(out: &mut Vec<u8>, value: &Option<T>, put: impl FnOnce(&mut Vec<u8>, &T)) {
+    match value {
+        Some(v) => {
             out.put_u8(1);
-            put_key(out, k);
+            put(out, v);
         }
         None => out.put_u8(0),
     }
 }
 
-fn read_opt_key(r: &mut Reader<'_>) -> Result<Option<Key>> {
+fn read_opt<'a, T>(
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T>,
+) -> Result<Option<T>> {
     match r.u8()? {
         0 => Ok(None),
-        1 => Ok(Some(read_key(r)?)),
+        1 => read(r).map(Some),
         t => Err(Error::corrupt(format!("bad option tag {t}"))),
     }
 }
 
 fn put_cell(out: &mut Vec<u8>, cell: &Option<(Token, Bytes)>) {
-    match cell {
-        Some((token, value)) => {
-            out.put_u8(1);
-            out.put_u64(*token);
-            out.put_bytes(value.as_ref());
-        }
-        None => out.put_u8(0),
-    }
+    put_opt(out, cell, |out, (token, value)| {
+        out.put_u64(*token);
+        out.put_bytes(value.as_ref());
+    });
 }
 
 fn read_cell(r: &mut Reader<'_>) -> Result<Option<(Token, Bytes)>> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => {
-            let token = r.u64()?;
-            let value = Bytes::copy_from_slice(r.bytes()?);
-            Ok(Some((token, value)))
-        }
-        t => Err(Error::corrupt(format!("bad cell tag {t}"))),
-    }
+    read_opt(r, |r| Ok((r.u64()?, read_blob(r)?)))
 }
 
 fn put_write_op(out: &mut Vec<u8>, op: &WriteOp) {
-    put_key(out, &op.key);
+    put_blob(out, &op.key);
     match op.expect {
         Expect::Any => out.put_u8(0),
         Expect::Absent => out.put_u8(1),
@@ -355,86 +226,186 @@ fn put_write_op(out: &mut Vec<u8>, op: &WriteOp) {
             out.put_u64(t);
         }
     }
-    match &op.value {
-        Some(v) => {
-            out.put_u8(1);
-            out.put_bytes(v.as_ref());
-        }
-        None => out.put_u8(0),
-    }
+    put_opt(out, &op.value, put_blob);
 }
 
 fn read_write_op(r: &mut Reader<'_>) -> Result<WriteOp> {
-    let key = read_key(r)?;
+    let key = read_blob(r)?;
     let expect = match r.u8()? {
         0 => Expect::Any,
         1 => Expect::Absent,
         2 => Expect::Token(r.u64()?),
         t => return Err(Error::corrupt(format!("bad expect tag {t}"))),
     };
-    let value = match r.u8()? {
-        0 => None,
-        1 => Some(Bytes::copy_from_slice(r.bytes()?)),
-        t => return Err(Error::corrupt(format!("bad value tag {t}"))),
-    };
-    Ok(WriteOp { key, expect, value })
+    Ok(WriteOp { key, expect, value: read_opt(r, read_blob)? })
 }
 
-fn put_wire_error(out: &mut Vec<u8>, e: &WireError) {
+fn put_written(out: &mut Vec<u8>, token: &Option<Token>) {
+    put_opt(out, token, |out, t| out.put_u64(*t));
+}
+
+fn put_error(out: &mut Vec<u8>, e: &Error) {
     match e {
-        WireError::Conflict => out.put_u8(1),
-        WireError::Aborted(r) => {
+        Error::Conflict => out.put_u8(1),
+        Error::Aborted(r) => {
             out.put_u8(2);
             out.put_string(r);
         }
-        WireError::NotFound => out.put_u8(3),
-        WireError::Unavailable(w) => {
+        Error::NotFound => out.put_u8(3),
+        Error::Unavailable(w) => {
             out.put_u8(4);
             out.put_string(w);
         }
-        WireError::CapacityExceeded { node, capacity } => {
+        Error::CapacityExceeded { node, capacity } => {
             out.put_u8(5);
             out.put_u32(*node);
-            out.put_u64(*capacity);
+            out.put_u64(*capacity as u64);
         }
-        WireError::Corrupt(w) => {
+        Error::Corrupt(w) => {
             out.put_u8(6);
             out.put_string(w);
         }
-        WireError::InvalidOperation(w) => {
+        Error::InvalidOperation(w) => {
             out.put_u8(7);
             out.put_string(w);
         }
-        WireError::Parse { message, position } => {
+        Error::Parse { message, position } => {
             out.put_u8(8);
             out.put_string(message);
-            out.put_u64(*position);
+            out.put_u64(*position as u64);
         }
-        WireError::Query(w) => {
+        Error::Query(w) => {
             out.put_u8(9);
             out.put_string(w);
         }
-        WireError::Unsupported(w) => {
+        Error::Unsupported(w) => {
             out.put_u8(10);
             out.put_string(w);
         }
     }
 }
 
-fn read_wire_error(r: &mut Reader<'_>) -> Result<WireError> {
+fn read_usize(r: &mut Reader<'_>) -> Result<usize> {
+    let v = r.u64()?;
+    usize::try_from(v).map_err(|_| Error::corrupt(format!("{v} overflows usize")))
+}
+
+fn read_error(r: &mut Reader<'_>) -> Result<Error> {
     Ok(match r.u8()? {
-        1 => WireError::Conflict,
-        2 => WireError::Aborted(r.string()?),
-        3 => WireError::NotFound,
-        4 => WireError::Unavailable(r.string()?),
-        5 => WireError::CapacityExceeded { node: r.u32()?, capacity: r.u64()? },
-        6 => WireError::Corrupt(r.string()?),
-        7 => WireError::InvalidOperation(r.string()?),
-        8 => WireError::Parse { message: r.string()?, position: r.u64()? },
-        9 => WireError::Query(r.string()?),
-        10 => WireError::Unsupported(r.string()?),
+        1 => Error::Conflict,
+        2 => Error::Aborted(r.string()?),
+        3 => Error::NotFound,
+        4 => Error::Unavailable(r.string()?),
+        5 => Error::CapacityExceeded { node: r.u32()?, capacity: read_usize(r)? },
+        6 => Error::Corrupt(r.string()?),
+        7 => Error::InvalidOperation(r.string()?),
+        8 => Error::Parse { message: r.string()?, position: read_usize(r)? },
+        9 => Error::Query(r.string()?),
+        10 => Error::Unsupported(r.string()?),
         t => return Err(Error::corrupt(format!("bad error tag {t}"))),
     })
+}
+
+fn put_store_op(out: &mut Vec<u8>, op: &StoreOp) {
+    match op {
+        StoreOp::Get { key } => {
+            out.put_u8(1);
+            put_blob(out, key);
+        }
+        StoreOp::MultiGet { keys } => {
+            out.put_u8(2);
+            put_seq(out, keys, put_blob);
+        }
+        StoreOp::Write { op } => {
+            out.put_u8(3);
+            put_write_op(out, op);
+        }
+        StoreOp::MultiWrite { ops } => {
+            out.put_u8(4);
+            put_seq(out, ops, put_write_op);
+        }
+        StoreOp::Increment { key, delta } => {
+            out.put_u8(5);
+            put_blob(out, key);
+            out.put_u64(*delta);
+        }
+    }
+}
+
+fn read_store_op(tag: u8, r: &mut Reader<'_>) -> Result<StoreOp> {
+    Ok(match tag {
+        1 => StoreOp::Get { key: read_blob(r)? },
+        2 => StoreOp::MultiGet { keys: read_seq(r, read_blob)? },
+        3 => StoreOp::Write { op: read_write_op(r)? },
+        4 => StoreOp::MultiWrite { ops: read_seq(r, read_write_op)? },
+        5 => StoreOp::Increment { key: read_blob(r)?, delta: r.u64()? },
+        t => return Err(Error::corrupt(format!("unknown store op tag {t}"))),
+    })
+}
+
+fn put_op_result(out: &mut Vec<u8>, result: &OpResult) {
+    match result {
+        OpResult::Cell(cell) => {
+            out.put_u8(1);
+            put_cell(out, cell);
+        }
+        OpResult::Cells(cells) => {
+            out.put_u8(2);
+            put_seq(out, cells, put_cell);
+        }
+        OpResult::Written(token) => {
+            out.put_u8(3);
+            put_written(out, token);
+        }
+        OpResult::WriteResults(results) => {
+            out.put_u8(4);
+            put_seq(out, results, |out, res| match res {
+                Ok(token) => put_written(out, token),
+                Err(e) => {
+                    out.put_u8(2);
+                    put_error(out, e);
+                }
+            });
+        }
+        OpResult::Counter(v) => {
+            out.put_u8(5);
+            out.put_u64(*v);
+        }
+    }
+}
+
+/// An op's outcome: its [`OpResult`] under tags 1–5, or tag 0 and the
+/// error — the tags a top-level response uses too.
+fn put_op_outcome(out: &mut Vec<u8>, outcome: &Result<OpResult>) {
+    match outcome {
+        Ok(result) => put_op_result(out, result),
+        Err(e) => {
+            out.put_u8(0);
+            put_error(out, e);
+        }
+    }
+}
+
+/// Inverse of [`put_op_outcome`] for an already-read `tag`. An `Err`
+/// return is a decoding failure; a decoded per-op error is `Ok(Err(_))`.
+fn read_op_outcome(tag: u8, r: &mut Reader<'_>) -> Result<Result<OpResult>> {
+    let written = |r: &mut Reader<'_>| -> Result<Result<Option<Token>>> {
+        match r.u8()? {
+            0 => Ok(Ok(None)),
+            1 => Ok(Ok(Some(r.u64()?))),
+            2 => Ok(Err(read_error(r)?)),
+            t => Err(Error::corrupt(format!("bad write result tag {t}"))),
+        }
+    };
+    Ok(Ok(match tag {
+        0 => return Ok(Err(read_error(r)?)),
+        1 => OpResult::Cell(read_cell(r)?),
+        2 => OpResult::Cells(read_seq(r, read_cell)?),
+        3 => OpResult::Written(read_opt(r, |r| r.u64())?),
+        4 => OpResult::WriteResults(read_seq(r, written)?),
+        5 => OpResult::Counter(r.u64()?),
+        t => return Err(Error::corrupt(format!("unknown op result tag {t}"))),
+    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -445,68 +416,31 @@ impl Request {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            Request::Get { key } => {
-                out.put_u8(1);
-                put_key(&mut out, key);
-            }
-            Request::MultiGet { keys } => {
-                out.put_u8(2);
-                out.put_u32(keys.len() as u32);
-                for k in keys {
-                    put_key(&mut out, k);
-                }
-            }
-            Request::Write { op } => {
-                out.put_u8(3);
-                put_write_op(&mut out, op);
-            }
-            Request::MultiWrite { ops } => {
-                out.put_u8(4);
-                out.put_u32(ops.len() as u32);
-                for op in ops {
-                    put_write_op(&mut out, op);
-                }
-            }
-            Request::Increment { key, delta } => {
-                out.put_u8(5);
-                put_key(&mut out, key);
-                out.put_u64(*delta);
-            }
+            Request::Op(op) => put_store_op(&mut out, op),
             Request::Scan { start, end, limit, reverse } => {
                 out.put_u8(6);
-                put_key(&mut out, start);
-                put_opt_key(&mut out, end);
+                put_blob(&mut out, start);
+                put_opt(&mut out, end, put_blob);
                 out.put_u64(*limit);
                 out.put_u8(u8::from(*reverse));
-            }
-            Request::ScanPrefix { prefix, limit } => {
-                out.put_u8(7);
-                put_key(&mut out, prefix);
-                out.put_u64(*limit);
             }
             Request::Ping => out.put_u8(8),
             Request::Batch { ops } => {
                 out.put_u8(9);
-                out.put_u32(ops.len() as u32);
-                for op in ops {
-                    debug_assert!(
-                        !matches!(op, Request::Batch { .. }),
-                        "batches must not nest (encoder misuse)"
-                    );
-                    out.put_bytes(&op.encode());
-                }
+                put_seq(&mut out, ops, put_store_op);
             }
             Request::ScanPrefixFiltered { prefix, limit, predicate } => {
                 out.put_u8(10);
-                put_key(&mut out, prefix);
+                put_blob(&mut out, prefix);
                 out.put_u64(*limit);
                 predicate
                     .encode_into(&mut out)
                     .expect("predicate depth is validated at construction");
             }
-            Request::CmStart { hint } => {
+            Request::CmStart { hint, level } => {
                 out.put_u8(16);
                 out.put_u64(*hint);
+                out.put_u8(level.code());
             }
             Request::CmComplete { tid, committed } => {
                 out.put_u8(17);
@@ -521,10 +455,10 @@ impl Request {
                 out.put_u8(u8::from(*committed));
             }
             Request::Metrics => out.put_u8(21),
-            // Peek keeps the pre-flag tag (and its bodyless shape) so old
-            // peers' scrapes still decode; drain is its own bodyless tag.
-            Request::Spans { drain: false } => out.put_u8(22),
-            Request::Spans { drain: true } => out.put_u8(24),
+            Request::Spans { drain } => {
+                out.put_u8(22);
+                out.put_u8(u8::from(*drain));
+            }
             Request::Telemetry { since } => {
                 out.put_u8(23);
                 out.put_u64(*since);
@@ -543,63 +477,39 @@ impl Request {
     pub fn decode(body: &[u8]) -> Result<Request> {
         let mut r = Reader::new(body);
         let req = match r.u8()? {
-            1 => Request::Get { key: read_key(&mut r)? },
-            2 => {
-                let n = r.u32()? as usize;
-                let mut keys = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    keys.push(read_key(&mut r)?);
-                }
-                Request::MultiGet { keys }
-            }
-            3 => Request::Write { op: read_write_op(&mut r)? },
-            4 => {
-                let n = r.u32()? as usize;
-                let mut ops = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    ops.push(read_write_op(&mut r)?);
-                }
-                Request::MultiWrite { ops }
-            }
-            5 => Request::Increment { key: read_key(&mut r)?, delta: r.u64()? },
+            tag @ 1..=5 => Request::Op(read_store_op(tag, &mut r)?),
             6 => Request::Scan {
-                start: read_key(&mut r)?,
-                end: read_opt_key(&mut r)?,
+                start: read_blob(&mut r)?,
+                end: read_opt(&mut r, read_blob)?,
                 limit: r.u64()?,
                 reverse: read_bool(&mut r)?,
             },
-            7 => Request::ScanPrefix { prefix: read_key(&mut r)?, limit: r.u64()? },
             8 => Request::Ping,
-            9 => {
-                let n = r.u32()? as usize;
-                let mut ops = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let nested = r.bytes()?;
-                    // Refuse recursion before descending: a hostile stream
-                    // of nested batches must not consume decoder stack.
-                    if nested.first() == Some(&9) {
-                        return Err(Error::corrupt("Batch nested inside Batch"));
-                    }
-                    ops.push(Request::decode(nested)?);
-                }
-                Request::Batch { ops }
-            }
+            9 => Request::Batch {
+                ops: read_seq(&mut r, |r| {
+                    let tag = r.u8()?;
+                    read_store_op(tag, r)
+                })?,
+            },
             10 => Request::ScanPrefixFiltered {
-                prefix: read_key(&mut r)?,
+                prefix: read_blob(&mut r)?,
                 limit: r.u64()?,
                 predicate: Predicate::decode_from(&mut r)?,
             },
-            16 => Request::CmStart { hint: r.u64()? },
+            16 => {
+                let hint = r.u64()?;
+                let code = r.u8()?;
+                let level = IsolationLevel::from_code(code)
+                    .ok_or_else(|| Error::corrupt(format!("bad isolation level {code}")))?;
+                Request::CmStart { hint, level }
+            }
             17 => Request::CmComplete { tid: TxnId(r.u64()?), committed: read_bool(&mut r)? },
             18 => Request::CmLav,
             19 => Request::CmSync,
             20 => Request::CmResolve { tid: TxnId(r.u64()?), committed: read_bool(&mut r)? },
             21 => Request::Metrics,
-            // Pre-flag peers sent tag 22 meaning "drain"; decoding it as a
-            // peek is the safe direction (nothing is lost).
-            22 => Request::Spans { drain: false },
+            22 => Request::Spans { drain: read_bool(&mut r)? },
             23 => Request::Telemetry { since: r.u64()? },
-            24 => Request::Spans { drain: true },
             25 => Request::ProfileStart { hz: r.f64()? },
             26 => Request::ProfileStop,
             27 => Request::ProfileFetch,
@@ -617,70 +527,21 @@ impl Response {
         match self {
             Response::Error(e) => {
                 out.put_u8(0);
-                put_wire_error(&mut out, e);
+                put_error(&mut out, e);
             }
-            Response::Cell(cell) => {
-                out.put_u8(1);
-                put_cell(&mut out, cell);
-            }
-            Response::Cells(cells) => {
-                out.put_u8(2);
-                out.put_u32(cells.len() as u32);
-                for c in cells {
-                    put_cell(&mut out, c);
-                }
-            }
-            Response::Written(token) => {
-                out.put_u8(3);
-                match token {
-                    Some(t) => {
-                        out.put_u8(1);
-                        out.put_u64(*t);
-                    }
-                    None => out.put_u8(0),
-                }
-            }
-            Response::WriteResults(results) => {
-                out.put_u8(4);
-                out.put_u32(results.len() as u32);
-                for res in results {
-                    match res {
-                        Ok(None) => out.put_u8(0),
-                        Ok(Some(t)) => {
-                            out.put_u8(1);
-                            out.put_u64(*t);
-                        }
-                        Err(e) => {
-                            out.put_u8(2);
-                            put_wire_error(&mut out, e);
-                        }
-                    }
-                }
-            }
-            Response::Counter(v) => {
-                out.put_u8(5);
-                out.put_u64(*v);
-            }
+            Response::Op(result) => put_op_result(&mut out, result),
             Response::Rows(rows) => {
                 out.put_u8(6);
-                out.put_u32(rows.len() as u32);
-                for (key, token, value) in rows {
-                    put_key(&mut out, key);
+                put_seq(&mut out, rows, |out, (key, token, value)| {
+                    put_blob(out, key);
                     out.put_u64(*token);
                     out.put_bytes(value.as_ref());
-                }
+                });
             }
             Response::Pong => out.put_u8(7),
             Response::Batch { results } => {
                 out.put_u8(8);
-                out.put_u32(results.len() as u32);
-                for res in results {
-                    debug_assert!(
-                        !matches!(res, Response::Batch { .. }),
-                        "batches must not nest (encoder misuse)"
-                    );
-                    out.put_bytes(&res.encode());
-                }
+                put_seq(&mut out, results, put_op_outcome);
             }
             Response::TxnStarted { tid, lav, snapshot } => {
                 out.put_u8(16);
@@ -701,10 +562,7 @@ impl Response {
             }
             Response::Spans(spans) => {
                 out.put_u8(20);
-                out.put_u32(spans.len() as u32);
-                for s in spans {
-                    s.encode(&mut out);
-                }
+                put_seq(&mut out, spans, |out, s| s.encode(out));
             }
             Response::Telemetry(page) => {
                 out.put_u8(21);
@@ -712,7 +570,7 @@ impl Response {
             }
             Response::Profile(report) => {
                 out.put_u8(22);
-                put_profile_report(&mut out, report);
+                report.encode(&mut out);
             }
         }
         out
@@ -722,59 +580,20 @@ impl Response {
     pub fn decode(body: &[u8]) -> Result<Response> {
         let mut r = Reader::new(body);
         let resp = match r.u8()? {
-            0 => Response::Error(read_wire_error(&mut r)?),
-            1 => Response::Cell(read_cell(&mut r)?),
-            2 => {
-                let n = r.u32()? as usize;
-                let mut cells = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    cells.push(read_cell(&mut r)?);
-                }
-                Response::Cells(cells)
-            }
-            3 => Response::Written(match r.u8()? {
-                0 => None,
-                1 => Some(r.u64()?),
-                t => return Err(Error::corrupt(format!("bad token tag {t}"))),
-            }),
-            4 => {
-                let n = r.u32()? as usize;
-                let mut results = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    results.push(match r.u8()? {
-                        0 => Ok(None),
-                        1 => Ok(Some(r.u64()?)),
-                        2 => Err(read_wire_error(&mut r)?),
-                        t => return Err(Error::corrupt(format!("bad result tag {t}"))),
-                    });
-                }
-                Response::WriteResults(results)
-            }
-            5 => Response::Counter(r.u64()?),
-            6 => {
-                let n = r.u32()? as usize;
-                let mut rows = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let key = read_key(&mut r)?;
-                    let token = r.u64()?;
-                    let value = Bytes::copy_from_slice(r.bytes()?);
-                    rows.push((key, token, value));
-                }
-                Response::Rows(rows)
-            }
+            tag @ 0..=5 => match read_op_outcome(tag, &mut r)? {
+                Ok(result) => Response::Op(result),
+                Err(e) => Response::Error(e),
+            },
+            6 => Response::Rows(read_seq(&mut r, |r| {
+                Ok((read_blob(r)?, r.u64()?, Bytes::copy_from_slice(r.bytes()?)))
+            })?),
             7 => Response::Pong,
-            8 => {
-                let n = r.u32()? as usize;
-                let mut results = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let nested = r.bytes()?;
-                    if nested.first() == Some(&8) {
-                        return Err(Error::corrupt("Batch nested inside Batch"));
-                    }
-                    results.push(Response::decode(nested)?);
-                }
-                Response::Batch { results }
-            }
+            8 => Response::Batch {
+                results: read_seq(&mut r, |r| {
+                    let tag = r.u8()?;
+                    read_op_outcome(tag, r)
+                })?,
+            },
             16 => {
                 let tid = TxnId(r.u64()?);
                 let lav = r.u64()?;
@@ -788,62 +607,14 @@ impl Response {
             17 => Response::Unit,
             18 => Response::Lav(r.u64()?),
             19 => Response::Metrics(r.string()?),
-            20 => {
-                let n = r.u32()? as usize;
-                let mut spans = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    spans.push(Span::decode(&mut r)?);
-                }
-                Response::Spans(spans)
-            }
+            20 => Response::Spans(read_seq(&mut r, Span::decode)?),
             21 => Response::Telemetry(TelemetryPage::decode(&mut r)?),
-            22 => Response::Profile(read_profile_report(&mut r)?),
+            22 => Response::Profile(ProfileReport::decode(&mut r)?),
             t => return Err(Error::corrupt(format!("unknown response tag {t}"))),
         };
         expect_exhausted(&r)?;
         Ok(resp)
     }
-}
-
-fn put_profile_report(out: &mut Vec<u8>, report: &ProfileReport) {
-    out.put_u8(u8::from(report.running));
-    out.put_f64(report.hz);
-    out.put_u64(report.samples);
-    out.put_u64(report.idle);
-    out.put_u64(report.dropped);
-    out.put_string(&report.folded);
-    out.put_u32(report.locks.len() as u32);
-    for l in &report.locks {
-        out.put_string(&l.name);
-        out.put_u64(l.contended);
-        out.put_u64(l.wait_us);
-    }
-    out.put_u32(report.alloc.len() as u32);
-    for a in &report.alloc {
-        out.put_string(&a.frame);
-        out.put_u64(a.allocs);
-        out.put_u64(a.bytes);
-    }
-}
-
-fn read_profile_report(r: &mut Reader<'_>) -> Result<ProfileReport> {
-    let running = read_bool(r)?;
-    let hz = r.f64()?;
-    let samples = r.u64()?;
-    let idle = r.u64()?;
-    let dropped = r.u64()?;
-    let folded = r.string()?;
-    let n = r.u32()? as usize;
-    let mut locks = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        locks.push(LockStat { name: r.string()?, contended: r.u64()?, wait_us: r.u64()? });
-    }
-    let n = r.u32()? as usize;
-    let mut alloc = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        alloc.push(AllocStat { frame: r.string()?, allocs: r.u64()?, bytes: r.u64()? });
-    }
-    Ok(ProfileReport { running, hz, samples, idle, dropped, folded, locks, alloc })
 }
 
 fn read_bool(r: &mut Reader<'_>) -> Result<bool> {
@@ -869,105 +640,84 @@ fn expect_exhausted(r: &Reader<'_>) -> Result<()> {
 // ---------------------------------------------------------------------------
 // Frame I/O.
 
-/// Write one frame: length prefix, correlation id, body.
-pub fn write_frame(w: &mut impl IoWrite, corr_id: u64, body: &[u8]) -> io::Result<()> {
-    let len = 8 + body.len();
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds MAX_FRAME"),
-        ));
+/// Bytes a frame carrying `ctx` spends ahead of its body.
+pub fn header_len(ctx: Option<TraceContext>) -> usize {
+    FRAME_HEADER + ctx.map_or(0, |c| if c.parent_span == 0 { 8 } else { 16 })
+}
+
+/// Bytes of optional header fields announced by `flags`.
+fn fields_len(flags: u8) -> Result<usize> {
+    match flags {
+        0 => Ok(0),
+        FLAG_TRACE => Ok(8),
+        f if f == FLAG_TRACE | FLAG_SPAN => Ok(16),
+        f => Err(Error::corrupt(format!("bad frame flags {f:#04x}"))),
     }
-    w.write_all(&(len as u32).to_le_bytes())?;
-    w.write_all(&corr_id.to_le_bytes())?;
-    w.write_all(body)?;
-    w.flush()
 }
 
-/// Write one frame, attaching a version-2 trace prefix when `trace` is
-/// present. `None` produces a plain version-1 frame, byte-identical to
-/// [`write_frame`], so untraced traffic stays readable by old peers.
-pub fn write_frame_traced(
-    w: &mut impl IoWrite,
-    corr_id: u64,
-    trace: Option<u64>,
-    body: &[u8],
-) -> io::Result<()> {
-    write_frame_ctx(w, corr_id, trace.map(|t| TraceContext { trace: t, parent_span: 0 }), body)
+/// Parse the header after the length prefix: `(corr_id, ctx, header
+/// bytes)`. `after_len` must hold the whole header; the caller checked the
+/// fixed part fits.
+fn parse_header(after_len: &[u8]) -> Result<(u64, Option<TraceContext>, usize)> {
+    let word = |at: usize| u64::from_le_bytes(after_len[at..at + 8].try_into().expect("8 bytes"));
+    let fields = fields_len(after_len[8])?;
+    let used = FRAME_HEADER - 4 + fields;
+    if after_len.len() < used {
+        return Err(Error::corrupt("frame shorter than its header"));
+    }
+    let ctx = match fields {
+        0 => None,
+        8 => Some(TraceContext { trace: word(9), parent_span: 0 }),
+        _ => Some(TraceContext { trace: word(9), parent_span: word(17) }),
+    };
+    Ok((word(0), ctx, used))
 }
 
-/// Write one frame with a full trace context. `None` produces a plain
-/// version-1 frame; a context with `parent_span == 0` produces the 9-byte
-/// [`TRACE_MARKER`] prefix (byte-identical to [`write_frame_traced`]); a
-/// nonzero `parent_span` produces the 17-byte [`SPAN_MARKER`] prefix.
-pub fn write_frame_ctx(
+fn check_len(len: usize) -> Result<()> {
+    if (FRAME_HEADER - 4..=MAX_FRAME).contains(&len) {
+        Ok(())
+    } else {
+        Err(Error::corrupt(format!("invalid frame length {len}")))
+    }
+}
+
+fn invalid_data(e: Error) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+}
+
+/// Write one frame and return the bytes it took on the wire. A context
+/// with `parent_span == 0` carries the trace alone.
+pub fn write_frame(
     w: &mut impl IoWrite,
     corr_id: u64,
     ctx: Option<TraceContext>,
     body: &[u8],
-) -> io::Result<()> {
-    let Some(ctx) = ctx else {
-        return write_frame(w, corr_id, body);
-    };
-    let prefix = if ctx.parent_span == 0 { 9 } else { 17 };
-    let len = 8 + prefix + body.len();
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds MAX_FRAME"),
-        ));
+) -> io::Result<usize> {
+    let head_len = header_len(ctx);
+    let total = head_len + body.len();
+    check_len(total - 4).map_err(invalid_data)?;
+    let mut head = [0u8; FRAME_HEADER + 16];
+    head[..4].copy_from_slice(&((total - 4) as u32).to_le_bytes());
+    head[4..12].copy_from_slice(&corr_id.to_le_bytes());
+    if let Some(ctx) = ctx {
+        head[12] = FLAG_TRACE;
+        head[13..21].copy_from_slice(&ctx.trace.to_le_bytes());
+        if ctx.parent_span != 0 {
+            head[12] |= FLAG_SPAN;
+            head[21..29].copy_from_slice(&ctx.parent_span.to_le_bytes());
+        }
     }
-    w.write_all(&(len as u32).to_le_bytes())?;
-    w.write_all(&corr_id.to_le_bytes())?;
-    if ctx.parent_span == 0 {
-        w.write_all(&[TRACE_MARKER])?;
-        w.write_all(&ctx.trace.to_le_bytes())?;
-    } else {
-        w.write_all(&[SPAN_MARKER])?;
-        w.write_all(&ctx.trace.to_le_bytes())?;
-        w.write_all(&ctx.parent_span.to_le_bytes())?;
-    }
+    w.write_all(&head[..head_len])?;
     w.write_all(body)?;
-    w.flush()
+    w.flush()?;
+    Ok(total)
 }
 
-/// Split a frame body into its optional trace id and the message bytes.
-/// Equivalent to [`split_context`] with the parent span dropped.
-pub fn split_trace(body: &[u8]) -> Result<(Option<u64>, &[u8])> {
-    let (ctx, msg) = split_context(body)?;
-    Ok((ctx.map(|c| c.trace), msg))
-}
-
-/// Split a frame body into its optional trace context and the message
-/// bytes. Version-1 bodies (first byte is a message tag) pass through with
-/// `None`; a [`TRACE_MARKER`] byte must be followed by the full 8-byte
-/// trace id and yields `parent_span == 0`; a [`SPAN_MARKER`] byte must be
-/// followed by both 8-byte ids.
-pub fn split_context(body: &[u8]) -> Result<(Option<TraceContext>, &[u8])> {
-    match body.first() {
-        Some(&TRACE_MARKER) => {
-            if body.len() < 9 {
-                return Err(Error::corrupt("truncated trace id after marker"));
-            }
-            let trace = u64::from_le_bytes(body[1..9].try_into().expect("9-byte prefix"));
-            Ok((Some(TraceContext { trace, parent_span: 0 }), &body[9..]))
-        }
-        Some(&SPAN_MARKER) => {
-            if body.len() < 17 {
-                return Err(Error::corrupt("truncated trace context after span marker"));
-            }
-            let trace = u64::from_le_bytes(body[1..9].try_into().expect("17-byte prefix"));
-            let parent_span = u64::from_le_bytes(body[9..17].try_into().expect("17-byte prefix"));
-            Ok((Some(TraceContext { trace, parent_span }), &body[17..]))
-        }
-        _ => Ok((None, body)),
-    }
-}
-
-/// Read one frame, returning `(corr_id, body)`. A clean EOF before any byte
-/// of a new frame yields `Ok(None)`; an EOF inside a frame is an error, as
-/// is a length outside `(8, MAX_FRAME]`.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(u64, Vec<u8>)>> {
+/// Read one frame, returning `(corr_id, ctx, body)`. A clean EOF before
+/// any byte of a new frame yields `Ok(None)`; an EOF inside a frame is an
+/// error, as is a malformed header or a length outside
+/// `[FRAME_HEADER - 4, MAX_FRAME]`.
+pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame<Vec<u8>>>> {
     let mut len_buf = [0u8; 4];
     let mut got = 0;
     while got < len_buf.len() {
@@ -983,17 +733,12 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(u64, Vec<u8>)>> {
         }
     }
     let len = u32::from_le_bytes(len_buf) as usize;
-    if !(8..=MAX_FRAME).contains(&len) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("invalid frame length {len}"),
-        ));
-    }
-    let mut corr_buf = [0u8; 8];
-    r.read_exact(&mut corr_buf)?;
-    let mut body = vec![0u8; len - 8];
-    r.read_exact(&mut body)?;
-    Ok(Some((u64::from_le_bytes(corr_buf), body)))
+    check_len(len).map_err(invalid_data)?;
+    let mut frame = vec![0u8; len];
+    r.read_exact(&mut frame)?;
+    let (corr_id, ctx, used) = parse_header(&frame).map_err(invalid_data)?;
+    frame.drain(..used);
+    Ok(Some((corr_id, ctx, frame)))
 }
 
 /// Incremental frame decoder over an owned receive buffer, for nonblocking
@@ -1002,10 +747,10 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(u64, Vec<u8>)>> {
 /// each body comes out as a [`Bytes`] slice of the receive buffer — no copy
 /// beyond the socket read itself.
 ///
-/// Validation matches [`read_frame`] exactly: a `len` outside
-/// `(8, MAX_FRAME]` is [`Error::Corrupt`] (the stream is desynchronized and
-/// cannot be resynchronized), and bytes short of a full frame simply wait
-/// for more input. End-of-stream policy stays with the caller: EOF with
+/// Validation matches [`read_frame`] exactly: a bad length or header is
+/// [`Error::Corrupt`] (the stream is desynchronized and cannot be
+/// resynchronized), and bytes short of a full frame simply wait for more
+/// input. End-of-stream policy stays with the caller: EOF with
 /// [`FrameDecoder::is_idle`] false is the "closed mid-frame" error
 /// `read_frame` reports.
 #[derive(Default)]
@@ -1034,54 +779,55 @@ impl FrameDecoder {
         self.buf.is_empty()
     }
 
-    /// Pop the next complete frame as `(corr_id, body)`, where `body` is
-    /// everything after the correlation id (trace prefix included, exactly
-    /// as [`read_frame`] returns it). `Ok(None)` means more bytes are
-    /// needed.
-    pub fn next_frame(&mut self) -> Result<Option<(u64, Bytes)>> {
+    /// Pop the next complete frame as `(corr_id, ctx, body)`, exactly as
+    /// [`read_frame`] returns it. `Ok(None)` means more bytes are needed.
+    pub fn next_frame(&mut self) -> Result<Option<Frame<Bytes>>> {
         if self.buf.len() < 4 {
             return Ok(None);
         }
         let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes checked")) as usize;
-        if !(8..=MAX_FRAME).contains(&len) {
-            return Err(Error::corrupt(format!("invalid frame length {len}")));
-        }
+        check_len(len)?;
         if self.buf.len() < 4 + len {
             return Ok(None);
         }
+        let (corr_id, ctx, used) = parse_header(&self.buf[4..4 + len])?;
         let frame = self.buf.split_to(4 + len);
-        let corr_id = u64::from_le_bytes(frame[4..12].try_into().expect("12 bytes checked"));
-        Ok(Some((corr_id, frame.slice(12..))))
+        Ok(Some((corr_id, ctx, frame.slice(4 + used..))))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tell_obs::{AllocStat, LockStat};
+
+    fn key() -> Key {
+        Bytes::copy_from_slice(b"k")
+    }
 
     #[test]
     fn request_roundtrip_covers_every_variant() {
-        let key = Bytes::copy_from_slice(b"k");
-        let reqs = vec![
-            Request::Get { key: key.clone() },
-            Request::MultiGet { keys: vec![key.clone(), Bytes::new()] },
-            Request::Write {
-                op: WriteOp {
-                    key: key.clone(),
-                    expect: Expect::Token(7),
-                    value: Some(Bytes::copy_from_slice(b"v")),
-                },
+        let key = key();
+        let ops = vec![
+            StoreOp::Get { key: key.clone() },
+            StoreOp::MultiGet { keys: vec![key.clone(), Bytes::new()] },
+            StoreOp::Write {
+                op: WriteOp::put(key.clone(), Expect::Token(7), Bytes::copy_from_slice(b"v")),
             },
-            Request::MultiWrite {
+            StoreOp::MultiWrite {
                 ops: vec![
-                    WriteOp { key: key.clone(), expect: Expect::Absent, value: None },
-                    WriteOp { key: key.clone(), expect: Expect::Any, value: Some(Bytes::new()) },
+                    WriteOp::delete(key.clone(), Expect::Absent),
+                    WriteOp::put(key.clone(), Expect::Any, Bytes::new()),
                 ],
             },
-            Request::Increment { key: key.clone(), delta: 42 },
+            StoreOp::Increment { key: key.clone(), delta: 42 },
+        ];
+        let mut reqs: Vec<Request> = ops.iter().cloned().map(Request::Op).collect();
+        reqs.extend([
+            Request::Batch { ops },
+            Request::Batch { ops: Vec::new() },
             Request::Scan { start: key.clone(), end: None, limit: 10, reverse: true },
             Request::Scan { start: Bytes::new(), end: Some(key.clone()), limit: 1, reverse: false },
-            Request::ScanPrefix { prefix: key.clone(), limit: u64::MAX },
             Request::ScanPrefixFiltered {
                 prefix: key.clone(),
                 limit: 64,
@@ -1090,18 +836,7 @@ mod tests {
                     Predicate::KeyPrefix(key.clone()),
                 ]),
             },
-            Request::Batch {
-                ops: vec![
-                    Request::Get { key: key.clone() },
-                    Request::Increment { key: key.clone(), delta: 1 },
-                    Request::Write {
-                        op: WriteOp { key: key.clone(), expect: Expect::Any, value: None },
-                    },
-                ],
-            },
-            Request::Batch { ops: Vec::new() },
             Request::Ping,
-            Request::CmStart { hint: 3 },
             Request::CmComplete { tid: TxnId(9), committed: true },
             Request::CmLav,
             Request::CmSync,
@@ -1115,7 +850,8 @@ mod tests {
             Request::ProfileStart { hz: 0.0 },
             Request::ProfileStop,
             Request::ProfileFetch,
-        ];
+        ]);
+        reqs.extend(IsolationLevel::ALL.map(|level| Request::CmStart { hint: 3, level }));
         for req in reqs {
             let body = req.encode();
             assert_eq!(Request::decode(&body).unwrap(), req);
@@ -1123,33 +859,25 @@ mod tests {
     }
 
     #[test]
-    fn bodyless_spans_request_decodes_as_peek() {
-        // Older peers encode `Request::Spans` as the bare tag; that must
-        // keep decoding, and as the non-destructive variant.
-        assert_eq!(Request::decode(&[22]).unwrap(), Request::Spans { drain: false });
-    }
-
-    #[test]
     fn response_roundtrip_covers_every_variant() {
         let val = Bytes::copy_from_slice(b"payload");
-        let resps = vec![
-            Response::Error(WireError::Conflict),
-            Response::Error(WireError::CapacityExceeded { node: 2, capacity: 4096 }),
-            Response::Cell(None),
-            Response::Cell(Some((5, val.clone()))),
-            Response::Cells(vec![None, Some((1, Bytes::new()))]),
-            Response::Written(None),
-            Response::Written(Some(8)),
-            Response::WriteResults(vec![Ok(None), Ok(Some(3)), Err(WireError::NotFound)]),
-            Response::Counter(77),
+        let results = [
+            OpResult::Cell(None),
+            OpResult::Cell(Some((5, val.clone()))),
+            OpResult::Cells(vec![None, Some((1, Bytes::new()))]),
+            OpResult::Written(None),
+            OpResult::Written(Some(8)),
+            OpResult::WriteResults(vec![Ok(None), Ok(Some(3)), Err(Error::NotFound)]),
+            OpResult::Counter(77),
+        ];
+        let mut resps: Vec<Response> = results.iter().cloned().map(Response::Op).collect();
+        resps.extend([
+            Response::Error(Error::Conflict),
+            Response::Error(Error::CapacityExceeded { node: 2, capacity: 4096 }),
             Response::Rows(vec![(Bytes::copy_from_slice(b"a"), 1, val.clone())]),
             Response::Pong,
             Response::Batch {
-                results: vec![
-                    Response::Cell(Some((5, val.clone()))),
-                    Response::Error(WireError::Conflict),
-                    Response::Counter(1),
-                ],
+                results: vec![Ok(results[1].clone()), Err(Error::Conflict), Ok(results[6].clone())],
             },
             Response::Batch { results: Vec::new() },
             Response::TxnStarted {
@@ -1161,46 +889,26 @@ mod tests {
             Response::Lav(6),
             Response::Metrics("{\"counters\":{}}".into()),
             Response::Spans(Vec::new()),
-            Response::Spans(vec![
-                Span {
-                    trace: 0xabc,
-                    id: 1,
-                    parent: 0,
-                    kind: tell_obs::SpanKind::Txn,
-                    start_virt_us: 0.0,
-                    end_virt_us: 12.5,
-                    start_wall_us: 100,
-                    end_wall_us: 140,
-                    attrs: tell_obs::SpanAttrs { count: 2, status: tell_obs::SpanStatus::Ok },
-                },
-                Span {
-                    trace: 0xabc,
-                    id: 2,
-                    parent: 1,
-                    kind: tell_obs::SpanKind::ServerDispatch,
-                    start_virt_us: 1.0,
-                    end_virt_us: 2.0,
-                    start_wall_us: 110,
-                    end_wall_us: 120,
-                    attrs: tell_obs::SpanAttrs { count: 0, status: tell_obs::SpanStatus::Conflict },
-                },
-            ]),
+            Response::Spans(vec![Span {
+                trace: 0xabc,
+                id: 2,
+                parent: 1,
+                kind: tell_obs::SpanKind::ServerDispatch,
+                start_virt_us: 1.0,
+                end_virt_us: 2.0,
+                start_wall_us: 110,
+                end_wall_us: 120,
+                attrs: tell_obs::SpanAttrs { count: 0, status: tell_obs::SpanStatus::Conflict },
+            }]),
             Response::Telemetry(TelemetryPage {
-                counter_names: Vec::new(),
-                gauge_names: Vec::new(),
-                phase_names: Vec::new(),
-                points: Vec::new(),
-                next_cursor: 0,
-            }),
-            Response::Telemetry(TelemetryPage {
-                counter_names: vec!["txn_committed_total".into(), "txn_aborted_total".into()],
+                counter_names: vec!["txn_committed_total".into()],
                 gauge_names: vec!["cm_lav".into()],
                 phase_names: vec!["txn_total_us".into()],
                 points: vec![tell_obs::TsPoint {
                     seq: 3,
                     virt_us: 125.0,
                     wall_us: 9_000,
-                    counters: vec![10, 2],
+                    counters: vec![10],
                     gauges: vec![7],
                     phases: vec![tell_obs::PhaseDigest {
                         count: 10,
@@ -1212,29 +920,16 @@ mod tests {
                 next_cursor: 3,
             }),
             Response::Profile(ProfileReport {
-                running: false,
-                hz: 0.0,
-                samples: 0,
-                idle: 0,
-                dropped: 0,
-                folded: String::new(),
-                locks: Vec::new(),
-                alloc: Vec::new(),
-            }),
-            Response::Profile(ProfileReport {
                 running: true,
                 hz: 99.0,
                 samples: 1000,
                 idle: 17,
                 dropped: 3,
                 folded: "txn;txn.install 40\ntxn;txn.read 25\n".into(),
-                locks: vec![
-                    LockStat { name: "cm.state".into(), contended: 12, wait_us: 480 },
-                    LockStat { name: "index.cache.nodes".into(), contended: 2, wait_us: 9 },
-                ],
+                locks: vec![LockStat { name: "cm.state".into(), contended: 12, wait_us: 480 }],
                 alloc: vec![AllocStat { frame: "txn.read".into(), allocs: 5, bytes: 640 }],
             }),
-        ];
+        ]);
         for resp in resps {
             let body = resp.encode();
             assert_eq!(Response::decode(&body).unwrap(), resp);
@@ -1242,274 +937,7 @@ mod tests {
     }
 
     #[test]
-    fn truncated_profile_bodies_are_rejected() {
-        let body = Response::Profile(ProfileReport {
-            running: true,
-            hz: 990.0,
-            samples: 9,
-            idle: 1,
-            dropped: 0,
-            folded: "txn 9\n".into(),
-            locks: vec![LockStat { name: "cm.state".into(), contended: 1, wait_us: 2 }],
-            alloc: vec![AllocStat { frame: "(untracked)".into(), allocs: 1, bytes: 8 }],
-        })
-        .encode();
-        for cut in 0..body.len() {
-            assert!(Response::decode(&body[..cut]).is_err(), "prefix of {cut} bytes accepted");
-        }
-        let body = Request::ProfileStart { hz: 99.0 }.encode();
-        for cut in 0..body.len() {
-            assert!(Request::decode(&body[..cut]).is_err(), "prefix of {cut} bytes accepted");
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_are_rejected() {
-        let mut body = Request::Ping.encode();
-        body.push(0);
-        assert!(matches!(Request::decode(&body), Err(Error::Corrupt(_))));
-    }
-
-    #[test]
-    fn truncated_bodies_are_rejected() {
-        let body = Request::Increment { key: Bytes::copy_from_slice(b"key"), delta: 1 }.encode();
-        for cut in 0..body.len() {
-            assert!(Request::decode(&body[..cut]).is_err(), "prefix of {cut} bytes accepted");
-        }
-    }
-
-    #[test]
-    fn truncated_batches_are_rejected() {
-        let body = Request::Batch {
-            ops: vec![
-                Request::Get { key: Bytes::copy_from_slice(b"k") },
-                Request::Increment { key: Bytes::copy_from_slice(b"c"), delta: 2 },
-            ],
-        }
-        .encode();
-        for cut in 0..body.len() {
-            assert!(Request::decode(&body[..cut]).is_err(), "prefix of {cut} bytes accepted");
-        }
-        let body =
-            Response::Batch { results: vec![Response::Counter(9), Response::Cell(None)] }.encode();
-        for cut in 0..body.len() {
-            assert!(Response::decode(&body[..cut]).is_err(), "prefix of {cut} bytes accepted");
-        }
-    }
-
-    #[test]
-    fn nested_batches_are_a_protocol_error() {
-        // Hand-craft tag 9 → count 1 → nested bytes that are themselves a
-        // Batch: the decoder must refuse without recursing.
-        let inner = Request::Batch { ops: vec![Request::Ping] }.encode();
-        let mut body = vec![9u8];
-        body.put_u32(1);
-        body.put_bytes(&inner);
-        assert!(matches!(Request::decode(&body), Err(Error::Corrupt(_))));
-
-        let inner = Response::Batch { results: vec![Response::Pong] }.encode();
-        let mut body = vec![8u8];
-        body.put_u32(1);
-        body.put_bytes(&inner);
-        assert!(matches!(Response::decode(&body), Err(Error::Corrupt(_))));
-    }
-
-    #[test]
-    fn batch_per_op_errors_survive_the_roundtrip_losslessly() {
-        let results = vec![
-            Response::Error(WireError::Conflict),
-            Response::Error(WireError::Unavailable("sn:1 down".into())),
-            Response::Written(Some(3)),
-        ];
-        let body = Response::Batch { results: results.clone() }.encode();
-        let Response::Batch { results: back } = Response::decode(&body).unwrap() else {
-            panic!("expected a batch back");
-        };
-        assert_eq!(back, results);
-        // And the nested errors map back to the exact tell_common errors.
-        let Response::Error(e) = &back[0] else { panic!() };
-        assert_eq!(Error::from(e.clone()), Error::Conflict);
-    }
-
-    #[test]
-    fn frame_roundtrip_and_eof_handling() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, 42, b"hello").unwrap();
-        write_frame(&mut buf, 43, b"").unwrap();
-        let mut cursor = &buf[..];
-        assert_eq!(read_frame(&mut cursor).unwrap(), Some((42, b"hello".to_vec())));
-        assert_eq!(read_frame(&mut cursor).unwrap(), Some((43, Vec::new())));
-        assert_eq!(read_frame(&mut cursor).unwrap(), None);
-        // A truncated frame is an error, not a hang or a silent None.
-        let mut short = &buf[..buf.len() - 2];
-        let _ = read_frame(&mut short).unwrap();
-        assert!(read_frame(&mut short).is_err());
-    }
-
-    #[test]
-    fn traced_frames_roundtrip_and_v1_frames_still_decode() {
-        let body = Request::Ping.encode();
-        // v2 frame with a trace id.
-        let mut buf = Vec::new();
-        write_frame_traced(&mut buf, 7, Some(0xdead_beef), &body).unwrap();
-        let (corr, raw) = read_frame(&mut &buf[..]).unwrap().unwrap();
-        assert_eq!(corr, 7);
-        let (trace, msg) = split_trace(&raw).unwrap();
-        assert_eq!(trace, Some(0xdead_beef));
-        assert_eq!(Request::decode(msg).unwrap(), Request::Ping);
-
-        // No trace: byte-identical to a plain v1 frame.
-        let mut v2 = Vec::new();
-        write_frame_traced(&mut v2, 7, None, &body).unwrap();
-        let mut v1 = Vec::new();
-        write_frame(&mut v1, 7, &body).unwrap();
-        assert_eq!(v2, v1);
-        let (_, raw) = read_frame(&mut &v1[..]).unwrap().unwrap();
-        let (trace, msg) = split_trace(&raw).unwrap();
-        assert_eq!(trace, None);
-        assert_eq!(Request::decode(msg).unwrap(), Request::Ping);
-    }
-
-    #[test]
-    fn truncated_trace_prefix_is_rejected() {
-        for len in 1..9 {
-            let mut body = vec![TRACE_MARKER];
-            body.extend_from_slice(&vec![0u8; len - 1]);
-            assert!(split_trace(&body).is_err(), "{len}-byte prefix accepted");
-        }
-        for len in 1..17 {
-            let mut body = vec![SPAN_MARKER];
-            body.extend_from_slice(&vec![0u8; len - 1]);
-            assert!(split_context(&body).is_err(), "{len}-byte span prefix accepted");
-        }
-    }
-
-    #[test]
-    fn span_carrying_frames_roundtrip_and_older_generations_still_decode() {
-        let body = Request::Ping.encode();
-
-        // Full context: 0xF6 prefix with trace and parent span.
-        let ctx = TraceContext { trace: 0xdead_beef, parent_span: 0x1234 };
-        let mut buf = Vec::new();
-        write_frame_ctx(&mut buf, 5, Some(ctx), &body).unwrap();
-        let (corr, raw) = read_frame(&mut &buf[..]).unwrap().unwrap();
-        assert_eq!(corr, 5);
-        assert_eq!(raw[0], SPAN_MARKER);
-        let (back, msg) = split_context(&raw).unwrap();
-        assert_eq!(back, Some(ctx));
-        assert_eq!(Request::decode(msg).unwrap(), Request::Ping);
-        // The older accessor still sees the trace id.
-        assert_eq!(split_trace(&raw).unwrap().0, Some(0xdead_beef));
-
-        // Zero parent degrades to the trace-only 0xF5 form, byte-identical
-        // to what write_frame_traced always produced.
-        let mut ctx_buf = Vec::new();
-        write_frame_ctx(
-            &mut ctx_buf,
-            5,
-            Some(TraceContext { trace: 0xbeef, parent_span: 0 }),
-            &body,
-        )
-        .unwrap();
-        let mut traced_buf = Vec::new();
-        write_frame_traced(&mut traced_buf, 5, Some(0xbeef), &body).unwrap();
-        assert_eq!(ctx_buf, traced_buf);
-        let (_, raw) = read_frame(&mut &ctx_buf[..]).unwrap().unwrap();
-        assert_eq!(raw[0], TRACE_MARKER);
-        assert_eq!(
-            split_context(&raw).unwrap().0,
-            Some(TraceContext { trace: 0xbeef, parent_span: 0 })
-        );
-
-        // No context degrades all the way to a v1 frame.
-        let mut v1 = Vec::new();
-        write_frame_ctx(&mut v1, 5, None, &body).unwrap();
-        let mut plain = Vec::new();
-        write_frame(&mut plain, 5, &body).unwrap();
-        assert_eq!(v1, plain);
-        let (_, raw) = read_frame(&mut &v1[..]).unwrap().unwrap();
-        let (ctx, msg) = split_context(&raw).unwrap();
-        assert_eq!(ctx, None);
-        assert_eq!(Request::decode(msg).unwrap(), Request::Ping);
-    }
-
-    #[test]
-    fn isolation_suffix_roundtrips_every_level() {
-        for level in IsolationLevel::ALL {
-            let mut body = Request::CmStart { hint: 3 }.encode();
-            append_isolation(&mut body, level);
-            let (req, got) = decode_request_iso(&body).unwrap();
-            assert_eq!(req, Request::CmStart { hint: 3 });
-            assert_eq!(got, Some(level));
-        }
-    }
-
-    #[test]
-    fn plain_bodies_decode_with_no_isolation() {
-        for req in [Request::CmStart { hint: 0 }, Request::Ping, Request::CmLav] {
-            let (back, level) = decode_request_iso(&req.encode()).unwrap();
-            assert_eq!(back, req);
-            assert_eq!(level, None);
-        }
-    }
-
-    #[test]
-    fn suffix_lookalike_content_decodes_as_plain_message() {
-        // A key that happens to end in [valid level code][ISO_MARKER] must
-        // not be mistaken for a suffixed shorter message: the full body
-        // decodes exactly, and the plain interpretation wins.
-        let key = Bytes::copy_from_slice(&[7, 7, 3, ISO_MARKER]);
-        let req = Request::Get { key: key.clone() };
-        let (back, level) = decode_request_iso(&req.encode()).unwrap();
-        assert_eq!(back, req);
-        assert_eq!(level, None);
-    }
-
-    #[test]
-    fn bad_isolation_suffixes_are_rejected() {
-        // Invalid level code: not a suffix, and the body itself is corrupt.
-        let mut body = Request::Ping.encode();
-        body.push(0);
-        body.push(ISO_MARKER);
-        assert!(decode_request_iso(&body).is_err());
-        // Valid suffix on a corrupt message: still corrupt.
-        let mut body = vec![99u8];
-        append_isolation(&mut body, IsolationLevel::Si);
-        assert!(decode_request_iso(&body).is_err());
-        // Suffix alone is not a message.
-        let mut body = Vec::new();
-        append_isolation(&mut body, IsolationLevel::Serializable);
-        assert!(decode_request_iso(&body).is_err());
-        // Truncating a suffixed body is rejected — except at exactly the
-        // plain-message boundary, where what remains *is* the valid
-        // unsuffixed message (strictly more decodable than the original).
-        let plain_len = Request::CmStart { hint: 9 }.encode().len();
-        let mut body = Request::CmStart { hint: 9 }.encode();
-        append_isolation(&mut body, IsolationLevel::ReadCommitted);
-        for cut in 0..body.len() {
-            if cut == plain_len {
-                let (req, level) = decode_request_iso(&body[..cut]).unwrap();
-                assert_eq!(req, Request::CmStart { hint: 9 });
-                assert_eq!(level, None);
-            } else {
-                assert!(
-                    decode_request_iso(&body[..cut]).is_err(),
-                    "prefix of {cut} bytes accepted"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn oversized_frame_length_is_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
-        buf.extend_from_slice(&[0u8; 16]);
-        assert!(read_frame(&mut &buf[..]).is_err());
-    }
-
-    #[test]
-    fn wire_error_conversion_is_lossless() {
+    fn every_error_roundtrips_losslessly() {
         let errors = vec![
             Error::Conflict,
             Error::Aborted("why".into()),
@@ -1523,8 +951,119 @@ mod tests {
             Error::Unsupported("joins".into()),
         ];
         for e in errors {
-            let wire = WireError::from(e.clone());
-            assert_eq!(Error::from(wire), e);
+            let top = Response::Error(e.clone());
+            assert_eq!(Response::decode(&top.encode()).unwrap(), top);
+            let slot = Response::Batch { results: vec![Err(e)] };
+            assert_eq!(Response::decode(&slot.encode()).unwrap(), slot);
         }
+    }
+
+    #[test]
+    fn truncated_bodies_are_rejected() {
+        let bodies = [
+            Request::Op(StoreOp::Increment { key: key(), delta: 1 }).encode(),
+            Request::Batch {
+                ops: vec![StoreOp::Get { key: key() }, StoreOp::Increment { key: key(), delta: 2 }],
+            }
+            .encode(),
+            Request::CmStart { hint: 9, level: IsolationLevel::ReadCommitted }.encode(),
+            Request::ProfileStart { hz: 99.0 }.encode(),
+        ];
+        for body in bodies {
+            for cut in 0..body.len() {
+                assert!(Request::decode(&body[..cut]).is_err(), "prefix of {cut} bytes accepted");
+            }
+        }
+        let bodies = [
+            Response::Batch { results: vec![Ok(OpResult::Counter(9)), Err(Error::Conflict)] }
+                .encode(),
+            Response::Profile(ProfileReport {
+                running: true,
+                hz: 990.0,
+                samples: 9,
+                idle: 1,
+                dropped: 0,
+                folded: "txn 9\n".into(),
+                locks: vec![LockStat { name: "cm.state".into(), contended: 1, wait_us: 2 }],
+                alloc: vec![AllocStat { frame: "(untracked)".into(), allocs: 1, bytes: 8 }],
+            })
+            .encode(),
+        ];
+        for body in bodies {
+            for cut in 0..body.len() {
+                assert!(Response::decode(&body[..cut]).is_err(), "prefix of {cut} bytes accepted");
+            }
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        let mut body = Request::Ping.encode();
+        body.push(0);
+        assert!(matches!(Request::decode(&body), Err(Error::Corrupt(_))));
+    }
+
+    #[test]
+    fn batches_hold_only_store_ops() {
+        // Tag 9 → count 1 → a Ping or a nested Batch tag where an op
+        // belongs: both are corrupt, and neither recurses.
+        for inner in [Request::Ping.encode(), Request::Batch { ops: Vec::new() }.encode()] {
+            let mut body = vec![9u8];
+            body.put_u32(1);
+            body.extend_from_slice(&inner);
+            assert!(matches!(Request::decode(&body), Err(Error::Corrupt(_))));
+        }
+        // A batch answer slot holding a Pong is corrupt likewise.
+        let body = [8, 1, 0, 0, 0, 7];
+        assert!(matches!(Response::decode(&body), Err(Error::Corrupt(_))));
+    }
+
+    #[test]
+    fn invalid_isolation_codes_are_rejected() {
+        let mut body = Request::CmStart { hint: 1, level: IsolationLevel::Si }.encode();
+        for code in [0u8, 5, 0xF4] {
+            *body.last_mut().expect("level byte") = code;
+            assert!(matches!(Request::decode(&body), Err(Error::Corrupt(_))));
+        }
+    }
+
+    #[test]
+    fn frame_roundtrip_and_eof_handling() {
+        let ctx = TraceContext { trace: 0xdead_beef, parent_span: 0x1234 };
+        let trace_only = TraceContext { trace: 5, parent_span: 0 };
+        let mut buf = Vec::new();
+        assert_eq!(write_frame(&mut buf, 42, None, b"hello").unwrap(), FRAME_HEADER + 5);
+        write_frame(&mut buf, 43, Some(trace_only), b"").unwrap();
+        write_frame(&mut buf, 44, Some(ctx), b"x").unwrap();
+        assert_eq!(buf.len(), 3 * FRAME_HEADER + 5 + 8 + 16 + 1);
+        let mut cursor = &buf[..];
+        assert_eq!(read_frame(&mut cursor).unwrap(), Some((42, None, b"hello".to_vec())));
+        assert_eq!(read_frame(&mut cursor).unwrap(), Some((43, Some(trace_only), Vec::new())));
+        assert_eq!(read_frame(&mut cursor).unwrap(), Some((44, Some(ctx), b"x".to_vec())));
+        assert_eq!(read_frame(&mut cursor).unwrap(), None);
+        // A truncated frame is an error, not a hang or a silent None.
+        let mut short = &buf[..buf.len() - 2];
+        let _ = read_frame(&mut short).unwrap();
+        let _ = read_frame(&mut short).unwrap();
+        assert!(read_frame(&mut short).is_err());
+    }
+
+    #[test]
+    fn span_without_trace_is_rejected() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 1, Some(TraceContext { trace: 1, parent_span: 2 }), &[8]).unwrap();
+        buf[FRAME_HEADER - 1] = FLAG_SPAN;
+        assert!(read_frame(&mut &buf[..]).is_err());
+        let mut decoder = FrameDecoder::new();
+        decoder.push(&buf);
+        assert!(matches!(decoder.next_frame(), Err(Error::Corrupt(_))));
+    }
+
+    #[test]
+    fn oversized_frame_length_is_rejected() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
+        buf.extend_from_slice(&[0u8; 16]);
+        assert!(read_frame(&mut &buf[..]).is_err());
     }
 }

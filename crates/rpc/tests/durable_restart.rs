@@ -10,10 +10,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use tell_common::SnId;
+use tell_common::{Error, Result, SnId};
 use tell_durable::{DurableNodeConfig, FsDurability, FsyncPolicy};
-use tell_rpc::{Connection, Request, Response, RpcServer, WireError};
-use tell_store::{DurabilityProvider, Expect, StoreCluster, StoreConfig, WriteOp};
+use tell_rpc::{Connection, Request, Response, RpcServer};
+use tell_store::{
+    DurabilityProvider, Expect, OpResult, StoreCluster, StoreConfig, StoreOp, WriteOp,
+};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -54,20 +56,26 @@ fn boot(root: &Path, nodes: usize) -> (Arc<StoreCluster>, RpcServer) {
     (store, server)
 }
 
-fn put(key: &Bytes, round: u64) -> Request {
-    Request::Write {
+fn put(key: &Bytes, round: u64) -> StoreOp {
+    StoreOp::Write {
         op: WriteOp::put(key.clone(), Expect::Any, Bytes::from(round.to_be_bytes().to_vec())),
     }
 }
 
-fn batch(conn: &Connection, ops: Vec<Request>) -> Vec<Response> {
+fn get(key: &Bytes) -> StoreOp {
+    StoreOp::Get { key: key.clone() }
+}
+
+fn batch(conn: &Connection, ops: Vec<StoreOp>) -> Vec<Result<OpResult>> {
     let (resp, _, _) = conn.call(&Request::Batch { ops }).unwrap();
     let Response::Batch { results } = resp else { panic!("expected Batch, got {resp:?}") };
     results
 }
 
-fn round_of(resp: &Response) -> u64 {
-    let Response::Cell(Some((_, value))) = resp else { panic!("expected a cell, got {resp:?}") };
+fn round_of(resp: &Result<OpResult>) -> u64 {
+    let Ok(OpResult::Cell(Some((_, value)))) = resp else {
+        panic!("expected a cell, got {resp:?}")
+    };
     u64::from_be_bytes(value[..8].try_into().unwrap())
 }
 
@@ -82,7 +90,7 @@ fn killed_durable_server_restarts_from_data_dir_with_every_acked_write() {
 
     // Round 0, everything alive: seed every key in one frame; all acked.
     let results = batch(&conn, keys.iter().map(|k| put(k, 0)).collect());
-    assert!(results.iter().all(|r| matches!(r, Response::Written(Some(_)))));
+    assert!(results.iter().all(|r| matches!(r, Ok(OpResult::Written(Some(_))))));
 
     // One storage node dies with a round-1 window outstanding. The TCP
     // server stays up, so the batch comes back promptly with typed per-op
@@ -93,8 +101,8 @@ fn killed_durable_server_restarts_from_data_dir_with_every_acked_write() {
     let mut errored = 0;
     for (key, result) in keys.iter().zip(&results) {
         match result {
-            Response::Written(Some(_)) => acked_round1.push(key.clone()),
-            Response::Error(WireError::Unavailable(_)) => errored += 1,
+            Ok(OpResult::Written(Some(_))) => acked_round1.push(key.clone()),
+            Err(Error::Unavailable(_)) => errored += 1,
             other => panic!("expected an ack or a typed error, got {other:?}"),
         }
     }
@@ -111,7 +119,7 @@ fn killed_durable_server_restarts_from_data_dir_with_every_acked_write() {
     // where the window errored — nothing torn, nothing lost.
     let (_store2, server2) = boot(&root, 2);
     let conn = Connection::connect(&server2.local_addr().to_string()).unwrap();
-    let results = batch(&conn, keys.iter().map(|k| Request::Get { key: k.clone() }).collect());
+    let results = batch(&conn, keys.iter().map(get).collect());
     for (key, result) in keys.iter().zip(&results) {
         let expected = if acked_round1.contains(key) { 1 } else { 0 };
         assert_eq!(round_of(result), expected, "key {key:?} after restart");
@@ -120,8 +128,8 @@ fn killed_durable_server_restarts_from_data_dir_with_every_acked_write() {
     // The restarted server is fully writable: a round-2 window on every
     // key acks, and reads see it.
     let results = batch(&conn, keys.iter().map(|k| put(k, 2)).collect());
-    assert!(results.iter().all(|r| matches!(r, Response::Written(Some(_)))));
-    let results = batch(&conn, keys.iter().map(|k| Request::Get { key: k.clone() }).collect());
+    assert!(results.iter().all(|r| matches!(r, Ok(OpResult::Written(Some(_))))));
+    let results = batch(&conn, keys.iter().map(get).collect());
     assert!(results.iter().all(|r| round_of(r) == 2));
 
     let _ = std::fs::remove_dir_all(&root);
@@ -135,7 +143,7 @@ fn durable_counters_are_visible_over_a_metrics_scrape() {
     let (_store, server) = boot(&root, 1);
     let conn = Connection::connect(&server.local_addr().to_string()).unwrap();
     let results = batch(&conn, keys.iter().map(|k| put(k, 0)).collect());
-    assert!(results.iter().all(|r| matches!(r, Response::Written(Some(_)))));
+    assert!(results.iter().all(|r| matches!(r, Ok(OpResult::Written(Some(_))))));
     drop(conn);
     drop(server);
     drop(_store);
@@ -143,7 +151,7 @@ fn durable_counters_are_visible_over_a_metrics_scrape() {
     // Restart so the scrape covers the recovery counters too.
     let (_store2, server2) = boot(&root, 1);
     let conn = Connection::connect(&server2.local_addr().to_string()).unwrap();
-    let results = batch(&conn, keys.iter().map(|k| Request::Get { key: k.clone() }).collect());
+    let results = batch(&conn, keys.iter().map(get).collect());
     assert!(results.iter().all(|r| round_of(r) == 0));
 
     let (resp, _, _) = conn.call(&Request::Metrics).unwrap();

@@ -14,10 +14,10 @@ use tell_core::recovery::recover_failed_pn;
 use tell_core::txlog::{self, LogEntry};
 use tell_core::{Database, TellConfig, VersionedRecord};
 use tell_netsim::{NetMeter, NetworkProfile};
-use tell_rpc::{
-    Connection, RemoteCmClient, RemoteEndpoint, Request, Response, RpcServer, WireError,
+use tell_rpc::{Connection, RemoteCmClient, RemoteEndpoint, Request, Response, RpcServer};
+use tell_store::{
+    keys, Expect, OpResult, StoreApi, StoreCluster, StoreConfig, StoreEndpoint, StoreOp, WriteOp,
 };
-use tell_store::{keys, Expect, StoreApi, StoreCluster, StoreConfig, StoreEndpoint, WriteOp};
 
 /// Everything server-side: the simulated storage hardware plus the two
 /// rpc servers fronting it. Held by tests so they can reach in and fail
@@ -326,7 +326,7 @@ fn batch_straddling_a_dead_node_half_applies_with_per_op_errors_not_a_hang() {
     let conn = Connection::connect(&servers.sn.local_addr().to_string()).unwrap();
     let scratch: Vec<Bytes> =
         (0..16u64).map(|i| Bytes::from(format!("e2e/straddle/{i}"))).collect();
-    let put = |i: usize, round: u64| Request::Write {
+    let put = |i: usize, round: u64| StoreOp::Write {
         op: WriteOp::put(
             scratch[i].clone(),
             Expect::Any,
@@ -335,18 +335,18 @@ fn batch_straddling_a_dead_node_half_applies_with_per_op_errors_not_a_hang() {
     };
 
     // Round 0, both nodes alive: seed every scratch key in one frame.
-    let ops: Vec<Request> = (0..scratch.len()).map(|i| put(i, 0)).collect();
+    let ops: Vec<StoreOp> = (0..scratch.len()).map(|i| put(i, 0)).collect();
     let (resp, _, _) = conn.call(&Request::Batch { ops }).unwrap();
     let Response::Batch { results } = resp else { panic!("expected Batch, got {resp:?}") };
-    assert!(results.iter().all(|r| matches!(r, Response::Written(Some(_)))));
+    assert!(results.iter().all(|r| matches!(r, Ok(OpResult::Written(Some(_))))));
 
     // Round 1, node 1 dead: one frame pairing a get and a put per key. The
     // batch is a framing unit, not an atomic one — ops on live partitions
     // apply, ops on dead ones come back as nested typed errors in their
     // slots, and the call returns promptly either way.
     servers.store.kill_node(SnId(1));
-    let ops: Vec<Request> = (0..scratch.len())
-        .flat_map(|i| [Request::Get { key: scratch[i].clone() }, put(i, 1)])
+    let ops: Vec<StoreOp> = (0..scratch.len())
+        .flat_map(|i| [StoreOp::Get { key: scratch[i].clone() }, put(i, 1)])
         .collect();
     let (resp, _, _) = conn.call(&Request::Batch { ops }).unwrap();
     let Response::Batch { results } = resp else { panic!("expected Batch, got {resp:?}") };
@@ -355,11 +355,8 @@ fn batch_straddling_a_dead_node_half_applies_with_per_op_errors_not_a_hang() {
     let mut dead = 0;
     for pair in results.chunks(2) {
         match (&pair[0], &pair[1]) {
-            (Response::Cell(Some(_)), Response::Written(Some(_))) => live += 1,
-            (
-                Response::Error(WireError::Unavailable(_)),
-                Response::Error(WireError::Unavailable(_)),
-            ) => dead += 1,
+            (Ok(OpResult::Cell(Some(_))), Ok(OpResult::Written(Some(_)))) => live += 1,
+            (Err(Error::Unavailable(_)), Err(Error::Unavailable(_))) => dead += 1,
             other => panic!("a key's get/put pair must fail or succeed together: {other:?}"),
         }
     }
@@ -370,13 +367,13 @@ fn batch_straddling_a_dead_node_half_applies_with_per_op_errors_not_a_hang() {
     // was half-applied — keys on the survivor carry the round-1 value, keys
     // on the revived node still carry round 0, and nothing is torn or lost.
     servers.store.revive_node(SnId(1));
-    let ops: Vec<Request> = scratch.iter().map(|k| Request::Get { key: k.clone() }).collect();
+    let ops: Vec<StoreOp> = scratch.iter().map(|k| StoreOp::Get { key: k.clone() }).collect();
     let (resp, _, _) = conn.call(&Request::Batch { ops }).unwrap();
     let Response::Batch { results } = resp else { panic!("expected Batch, got {resp:?}") };
     let mut round1 = 0;
     let mut round0 = 0;
     for r in &results {
-        let Response::Cell(Some((_, value))) = r else { panic!("expected a cell, got {r:?}") };
+        let Ok(OpResult::Cell(Some((_, value)))) = r else { panic!("expected a cell, got {r:?}") };
         match u64::from_be_bytes(value[..8].try_into().unwrap()) {
             1 => round1 += 1,
             0 => round0 += 1,
@@ -425,8 +422,8 @@ fn traced_call_echoes_trace_id_over_tcp() {
     assert!(matches!(resp, Response::Pong));
     assert_eq!(echoed, Some(0x5EED_CAFE));
 
-    // An untraced call stays wire-compatible with v1 frames: nothing goes
-    // out, nothing comes back.
+    // An untraced call carries no trace context: nothing goes out,
+    // nothing comes back.
     let (resp, _, _, echoed) = conn.call_traced(&Request::Ping, None).unwrap();
     assert!(matches!(resp, Response::Pong));
     assert_eq!(echoed, None);

@@ -13,7 +13,7 @@ use tell_common::Error;
 use tell_obs::Counter;
 use tell_rpc::wire::{read_frame, write_frame};
 use tell_rpc::{Connection, ReactorConfig, Request, Response, RpcServer, Services};
-use tell_store::{Expect, StoreCluster, StoreConfig, WriteOp};
+use tell_store::{Expect, OpResult, StoreCluster, StoreConfig, StoreOp, WriteOp};
 
 fn serve(nodes: usize) -> (RpcServer, String) {
     let store = StoreCluster::new(StoreConfig::new(nodes));
@@ -96,7 +96,7 @@ fn peer_dying_mid_frame_leaves_other_connections_serving() {
     // A peer starts a frame and dies mid-way through it.
     let mut dying = TcpStream::connect(&addr).unwrap();
     let mut framed = Vec::new();
-    write_frame(&mut framed, 42, &Request::Ping.encode()).unwrap();
+    write_frame(&mut framed, 42, None, &Request::Ping.encode()).unwrap();
     dying.write_all(&framed[..framed.len() - 3]).unwrap();
     dying.flush().unwrap();
     drop(dying);
@@ -128,10 +128,10 @@ fn slow_reader_hits_backpressure_and_drains_after_catching_up() {
     let key = Bytes::copy_from_slice(b"big");
     let value = Bytes::from(vec![0xAB; 256 << 10]);
     let conn = Connection::connect(&addr).unwrap();
-    let write = Request::Write {
+    let write = Request::Op(StoreOp::Write {
         op: WriteOp { key: key.clone(), expect: Expect::Any, value: Some(value.clone()) },
-    };
-    assert!(matches!(conn.call(&write).unwrap().0, Response::Written(_)));
+    });
+    assert!(matches!(conn.call(&write).unwrap().0, Response::Op(OpResult::Written(_))));
     conn.close();
 
     // A raw client pipelines GETs for it and refuses to read the replies.
@@ -140,7 +140,8 @@ fn slow_reader_hits_backpressure_and_drains_after_catching_up() {
     let mut slow = TcpStream::connect(&addr).unwrap();
     let mut framed = Vec::new();
     for corr_id in 0..GETS as u64 {
-        write_frame(&mut framed, corr_id, &Request::Get { key: key.clone() }.encode()).unwrap();
+        let get = Request::Op(StoreOp::Get { key: key.clone() });
+        write_frame(&mut framed, corr_id, None, &get.encode()).unwrap();
     }
     slow.write_all(&framed).unwrap();
     slow.flush().unwrap();
@@ -156,10 +157,10 @@ fn slow_reader_hits_backpressure_and_drains_after_catching_up() {
     slow.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let mut reader = std::io::BufReader::new(slow);
     for corr_id in 0..GETS as u64 {
-        let (got_corr, body) = read_frame(&mut reader).unwrap().expect("reply arrives");
+        let (got_corr, _, body) = read_frame(&mut reader).unwrap().expect("reply arrives");
         assert_eq!(got_corr, corr_id);
         match Response::decode(&body).unwrap() {
-            Response::Cell(Some((_, got))) => assert_eq!(got, value),
+            Response::Op(OpResult::Cell(Some((_, got)))) => assert_eq!(got, value),
             other => panic!("got {other:?}"),
         }
     }
@@ -173,7 +174,7 @@ fn frames_served_counts_frames_not_operations() {
     let before = server.frames_served();
     let batch = Request::Batch {
         ops: (0..8u64)
-            .map(|i| Request::Get { key: Bytes::from(i.to_be_bytes().to_vec()) })
+            .map(|i| StoreOp::Get { key: Bytes::from(i.to_be_bytes().to_vec()) })
             .collect(),
     };
     match conn.call(&batch).unwrap().0 {

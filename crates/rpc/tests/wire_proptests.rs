@@ -1,17 +1,16 @@
 //! Property tests for the tell-rpc wire format: every message round-trips
-//! through its encoding, and no truncation of a valid message decodes.
+//! through its encoding, no truncation of a valid message decodes, the
+//! blocking and incremental frame readers agree at every split point, and
+//! no input — however malformed — panics either decoder.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use tell_commitmgr::SnapshotDescriptor;
-use tell_common::{BitSet, IsolationLevel, TxnId};
+use tell_common::{BitSet, Error, IsolationLevel, TxnId};
 use tell_obs::{PhaseDigest, Span, SpanAttrs, SpanKind, SpanStatus, TelemetryPage, TsPoint};
-use tell_rpc::wire::{
-    append_isolation, decode_request_iso, read_frame, split_context, split_trace, write_frame,
-    write_frame_ctx, write_frame_traced, TraceContext, FRAME_HEADER,
-};
-use tell_rpc::{FrameDecoder, Request, Response, WireError, MAX_FRAME};
-use tell_store::{CmpOp, Expect, Predicate, WriteOp};
+use tell_rpc::wire::{header_len, read_frame, write_frame, Frame, TraceContext, FRAME_HEADER};
+use tell_rpc::{FrameDecoder, Request, Response, MAX_FRAME};
+use tell_store::{CmpOp, Expect, OpResult, Predicate, StoreOp, WriteOp};
 
 /// Keys up to the longest the system composes in practice (`keys::record`
 /// and friends stay well under this), biased toward the interesting
@@ -39,21 +38,20 @@ fn write_op_strategy() -> impl Strategy<Value = WriteOp> {
         .prop_map(|(key, expect, value)| WriteOp { key, expect, value })
 }
 
-fn wire_error_strategy() -> impl Strategy<Value = WireError> {
+fn error_strategy() -> impl Strategy<Value = Error> {
     let msg = || ".{0,24}".prop_map(String::from);
     prop_oneof![
-        Just(WireError::Conflict),
-        msg().prop_map(WireError::Aborted),
-        Just(WireError::NotFound),
-        msg().prop_map(WireError::Unavailable),
-        (any::<u32>(), any::<u64>())
-            .prop_map(|(node, capacity)| WireError::CapacityExceeded { node, capacity }),
-        msg().prop_map(WireError::Corrupt),
-        msg().prop_map(WireError::InvalidOperation),
-        (msg(), any::<u64>())
-            .prop_map(|(message, position)| WireError::Parse { message, position }),
-        msg().prop_map(WireError::Query),
-        msg().prop_map(WireError::Unsupported),
+        Just(Error::Conflict),
+        msg().prop_map(Error::Aborted),
+        Just(Error::NotFound),
+        msg().prop_map(Error::Unavailable),
+        (any::<u32>(), any::<usize>())
+            .prop_map(|(node, capacity)| Error::CapacityExceeded { node, capacity }),
+        msg().prop_map(Error::Corrupt),
+        msg().prop_map(Error::InvalidOperation),
+        (msg(), any::<usize>()).prop_map(|(message, position)| Error::Parse { message, position }),
+        msg().prop_map(Error::Query),
+        msg().prop_map(Error::Unsupported),
     ]
 }
 
@@ -139,32 +137,43 @@ fn span_strategy() -> impl Strategy<Value = Span> {
         })
 }
 
+/// Every `StoreOp` shape, all fields randomized.
+fn store_op_strategy() -> impl Strategy<Value = StoreOp> {
+    prop_oneof![
+        key_strategy().prop_map(|key| StoreOp::Get { key }),
+        prop::collection::vec(key_strategy(), 0..6).prop_map(|keys| StoreOp::MultiGet { keys }),
+        write_op_strategy().prop_map(|op| StoreOp::Write { op }),
+        prop::collection::vec(write_op_strategy(), 0..6)
+            .prop_map(|ops| StoreOp::MultiWrite { ops }),
+        (key_strategy(), any::<u64>()).prop_map(|(key, delta)| StoreOp::Increment { key, delta }),
+    ]
+}
+
+fn level_strategy() -> impl Strategy<Value = IsolationLevel> {
+    (0..IsolationLevel::ALL.len()).prop_map(|i| IsolationLevel::ALL[i])
+}
+
 /// Every `Request` variant, all fields randomized.
 fn request_strategy() -> impl Strategy<Value = Request> {
     prop_oneof![
-        key_strategy().prop_map(|key| Request::Get { key }),
-        prop::collection::vec(key_strategy(), 0..6).prop_map(|keys| Request::MultiGet { keys }),
-        write_op_strategy().prop_map(|op| Request::Write { op }),
-        prop::collection::vec(write_op_strategy(), 0..6)
-            .prop_map(|ops| Request::MultiWrite { ops }),
-        (key_strategy(), any::<u64>()).prop_map(|(key, delta)| Request::Increment { key, delta }),
-        (key_strategy(), prop::option::of(key_strategy()), any::<u64>(), any::<bool>())
+        4 => store_op_strategy().prop_map(Request::Op),
+        1 => prop::collection::vec(store_op_strategy(), 0..5).prop_map(|ops| Request::Batch { ops }),
+        1 => (key_strategy(), prop::option::of(key_strategy()), any::<u64>(), any::<bool>())
             .prop_map(|(start, end, limit, reverse)| Request::Scan { start, end, limit, reverse }),
-        (key_strategy(), any::<u64>())
-            .prop_map(|(prefix, limit)| Request::ScanPrefix { prefix, limit }),
-        (key_strategy(), any::<u64>(), predicate_strategy()).prop_map(
+        1 => (key_strategy(), any::<u64>(), predicate_strategy()).prop_map(
             |(prefix, limit, predicate)| Request::ScanPrefixFiltered { prefix, limit, predicate }
         ),
-        Just(Request::Ping),
-        any::<u64>().prop_map(|hint| Request::CmStart { hint }),
-        (any::<u64>(), any::<bool>())
+        1 => Just(Request::Ping),
+        1 => (any::<u64>(), level_strategy())
+            .prop_map(|(hint, level)| Request::CmStart { hint, level }),
+        1 => (any::<u64>(), any::<bool>())
             .prop_map(|(tid, committed)| Request::CmComplete { tid: TxnId(tid), committed }),
-        Just(Request::CmLav),
-        Just(Request::CmSync),
-        (any::<u64>(), any::<bool>())
+        1 => Just(Request::CmLav),
+        1 => Just(Request::CmSync),
+        1 => (any::<u64>(), any::<bool>())
             .prop_map(|(tid, committed)| Request::CmResolve { tid: TxnId(tid), committed }),
-        any::<bool>().prop_map(|drain| Request::Spans { drain }),
-        any::<u64>().prop_map(|since| Request::Telemetry { since }),
+        1 => any::<bool>().prop_map(|drain| Request::Spans { drain }),
+        1 => any::<u64>().prop_map(|since| Request::Telemetry { since }),
     ]
 }
 
@@ -215,66 +224,88 @@ fn telemetry_page_strategy() -> impl Strategy<Value = TelemetryPage> {
         })
 }
 
-/// Every `Response` variant, all fields randomized.
-fn response_strategy() -> impl Strategy<Value = Response> {
+/// Every `OpResult` shape, all fields randomized.
+fn op_result_strategy() -> impl Strategy<Value = OpResult> {
     prop_oneof![
-        wire_error_strategy().prop_map(Response::Error),
-        cell_strategy().prop_map(Response::Cell),
-        prop::collection::vec(cell_strategy(), 0..6).prop_map(Response::Cells),
-        prop::option::of(any::<u64>()).prop_map(Response::Written),
+        cell_strategy().prop_map(OpResult::Cell),
+        prop::collection::vec(cell_strategy(), 0..6).prop_map(OpResult::Cells),
+        prop::option::of(any::<u64>()).prop_map(OpResult::Written),
         prop::collection::vec(
             prop_oneof![
                 prop::option::of(any::<u64>()).prop_map(Ok),
-                wire_error_strategy().prop_map(Err),
+                error_strategy().prop_map(Err),
             ],
             0..6,
         )
-        .prop_map(Response::WriteResults),
-        any::<u64>().prop_map(Response::Counter),
-        prop::collection::vec((key_strategy(), any::<u64>(), bytes_strategy(64)), 0..6)
+        .prop_map(OpResult::WriteResults),
+        any::<u64>().prop_map(OpResult::Counter),
+    ]
+}
+
+/// One per-op slot of a batch answer: a result or a typed error.
+fn op_outcome_strategy() -> impl Strategy<Value = Result<OpResult, Error>> {
+    prop_oneof![3 => op_result_strategy().prop_map(Ok), 1 => error_strategy().prop_map(Err)]
+}
+
+/// Every `Response` variant, all fields randomized.
+fn response_strategy() -> impl Strategy<Value = Response> {
+    prop_oneof![
+        2 => error_strategy().prop_map(Response::Error),
+        4 => op_result_strategy().prop_map(Response::Op),
+        1 => prop::collection::vec(op_outcome_strategy(), 0..5)
+            .prop_map(|results| Response::Batch { results }),
+        1 => prop::collection::vec((key_strategy(), any::<u64>(), bytes_strategy(64)), 0..6)
             .prop_map(Response::Rows),
-        Just(Response::Pong),
-        (any::<u64>(), any::<u64>(), snapshot_strategy()).prop_map(|(tid, lav, snapshot)| {
+        1 => Just(Response::Pong),
+        1 => (any::<u64>(), any::<u64>(), snapshot_strategy()).prop_map(|(tid, lav, snapshot)| {
             Response::TxnStarted { tid: TxnId(tid), lav, snapshot }
         }),
-        Just(Response::Unit),
-        any::<u64>().prop_map(Response::Lav),
-        prop::collection::vec(span_strategy(), 0..6).prop_map(Response::Spans),
-        telemetry_page_strategy().prop_map(Response::Telemetry),
+        1 => Just(Response::Unit),
+        1 => any::<u64>().prop_map(Response::Lav),
+        1 => prop::collection::vec(span_strategy(), 0..6).prop_map(Response::Spans),
+        1 => telemetry_page_strategy().prop_map(Response::Telemetry),
     ]
 }
 
-/// Any request the client can frame: a plain message, or a one-level batch
-/// of plain messages (the protocol forbids deeper nesting).
-fn any_request_strategy() -> impl Strategy<Value = Request> {
-    prop_oneof![
-        3 => request_strategy(),
-        1 => prop::collection::vec(request_strategy(), 0..5)
-            .prop_map(|ops| Request::Batch { ops }),
-    ]
+fn ctx_strategy() -> impl Strategy<Value = Option<TraceContext>> {
+    prop::option::of((any::<u64>(), prop_oneof![Just(0), any::<u64>()]))
+        .prop_map(|ctx| ctx.map(|(trace, parent_span)| TraceContext { trace, parent_span }))
 }
 
-/// Any response the server can frame, including batches whose per-op slots
-/// mix successes with typed errors.
-fn any_response_strategy() -> impl Strategy<Value = Response> {
-    prop_oneof![
-        3 => response_strategy(),
-        1 => prop::collection::vec(response_strategy(), 0..5)
-            .prop_map(|results| Response::Batch { results }),
-    ]
+type Framed = Vec<Frame<Vec<u8>>>;
+
+/// A stream of `frames`, and the frames as `read_frame` reports them.
+fn frame_stream(frames: &[(Request, u64, Option<TraceContext>)]) -> (Vec<u8>, Framed) {
+    let mut stream = Vec::new();
+    for (request, corr_id, ctx) in frames {
+        write_frame(&mut stream, *corr_id, *ctx, &request.encode()).unwrap();
+    }
+    let mut reader = &stream[..];
+    let mut read = Vec::new();
+    while let Some(frame) = read_frame(&mut reader).unwrap() {
+        read.push(frame);
+    }
+    (stream, read)
+}
+
+/// Drain `decoder`, panicking on a decode error.
+fn drain(decoder: &mut FrameDecoder, into: &mut Framed) {
+    while let Some((corr_id, ctx, body)) = decoder.next_frame().unwrap() {
+        into.push((corr_id, ctx, body.to_vec()));
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn request_roundtrips(request in any_request_strategy()) {
+    fn request_roundtrips(request in request_strategy()) {
         let encoded = request.encode();
         prop_assert_eq!(Request::decode(&encoded).unwrap(), request);
     }
 
     #[test]
-    fn response_roundtrips(response in any_response_strategy()) {
+    fn response_roundtrips(response in response_strategy()) {
         let encoded = response.encode();
         prop_assert_eq!(Response::decode(&encoded).unwrap(), response);
     }
@@ -282,7 +313,7 @@ proptest! {
     /// No strict prefix of a valid message decodes — a truncated body can
     /// never be mistaken for a (different) complete message.
     #[test]
-    fn truncated_requests_never_decode(request in any_request_strategy()) {
+    fn truncated_requests_never_decode(request in request_strategy()) {
         let encoded = request.encode();
         for cut in 0..encoded.len() {
             prop_assert!(
@@ -293,7 +324,7 @@ proptest! {
     }
 
     #[test]
-    fn truncated_responses_never_decode(response in any_response_strategy()) {
+    fn truncated_responses_never_decode(response in response_strategy()) {
         let encoded = response.encode();
         for cut in 0..encoded.len() {
             prop_assert!(
@@ -303,36 +334,27 @@ proptest! {
         }
     }
 
-    /// A batch response maps every nested per-op outcome — success or typed
-    /// error — back to exactly the slot it was framed in.
+    /// A frame round-trips its correlation id, trace context and body, its
+    /// size is exactly what `header_len` promises, and cutting it anywhere
+    /// turns it into either a clean end-of-stream (cut at byte 0) or a hard
+    /// I/O error — never a silently short frame.
     #[test]
-    fn batch_slots_keep_their_order_and_errors(
-        results in prop::collection::vec(response_strategy(), 0..5)
-    ) {
-        let encoded = Response::Batch { results: results.clone() }.encode();
-        match Response::decode(&encoded).unwrap() {
-            Response::Batch { results: decoded } => prop_assert_eq!(decoded, results),
-            other => prop_assert!(false, "decoded to {:?}", other),
-        }
-    }
-
-    /// A frame round-trips, and cutting it anywhere turns it into either a
-    /// clean end-of-stream (cut at byte 0) or a hard I/O error — never a
-    /// silently short frame.
-    #[test]
-    fn truncated_frames_are_rejected(
+    fn frames_roundtrip_and_truncations_are_rejected(
         request in request_strategy(),
         corr_id in any::<u64>(),
+        ctx in ctx_strategy(),
     ) {
         let body = request.encode();
         let mut framed = Vec::new();
-        write_frame(&mut framed, corr_id, &body).unwrap();
-        prop_assert_eq!(framed.len(), FRAME_HEADER + body.len());
+        let sent = write_frame(&mut framed, corr_id, ctx, &body).unwrap();
+        prop_assert_eq!(sent, framed.len());
+        prop_assert_eq!(framed.len(), header_len(ctx) + body.len());
 
-        let (got_corr, got_body) =
+        let (got_corr, got_ctx, got_body) =
             read_frame(&mut &framed[..]).unwrap().expect("whole frame reads back");
         prop_assert_eq!(got_corr, corr_id);
-        prop_assert_eq!(&got_body, &body);
+        prop_assert_eq!(got_ctx, ctx);
+        prop_assert_eq!(&Request::decode(&got_body).unwrap(), &request);
 
         prop_assert!(read_frame(&mut &framed[..0]).unwrap().is_none(), "empty = clean EOF");
         for cut in 1..framed.len() {
@@ -343,84 +365,18 @@ proptest! {
         }
     }
 
-    /// The three frame generations coexist on one wire: a span-carrying
-    /// frame round-trips its full context, a trace-only context is
-    /// byte-identical to what the older `write_frame_traced` emits, and an
-    /// uncontexted frame is byte-identical to a v1 frame — so peers that
-    /// predate spans (or traces) still decode everything they produce.
-    #[test]
-    fn frame_generations_coexist(
-        request in request_strategy(),
-        corr_id in any::<u64>(),
-        trace in 1..u64::MAX,
-        parent_span in 1..u64::MAX,
-    ) {
-        let body = request.encode();
-
-        // Span-carrying: context survives the trip and split_trace (the
-        // trace-only reader) still sees the trace id.
-        let ctx = TraceContext { trace, parent_span };
-        let mut framed = Vec::new();
-        write_frame_ctx(&mut framed, corr_id, Some(ctx), &body).unwrap();
-        let (got_corr, got_body) = read_frame(&mut &framed[..]).unwrap().unwrap();
-        prop_assert_eq!(got_corr, corr_id);
-        let (got_ctx, msg) = split_context(&got_body).unwrap();
-        prop_assert_eq!(got_ctx, Some(ctx));
-        prop_assert_eq!(&Request::decode(msg).unwrap(), &request);
-        let (got_trace, msg) = split_trace(&got_body).unwrap();
-        prop_assert_eq!(got_trace, Some(trace));
-        prop_assert_eq!(&Request::decode(msg).unwrap(), &request);
-
-        // Span-less v2: parent 0 degrades to the trace-marker form.
-        let mut with_ctx = Vec::new();
-        let span_less = TraceContext { trace, parent_span: 0 };
-        write_frame_ctx(&mut with_ctx, corr_id, Some(span_less), &body).unwrap();
-        let mut with_trace = Vec::new();
-        write_frame_traced(&mut with_trace, corr_id, Some(trace), &body).unwrap();
-        prop_assert_eq!(&with_ctx, &with_trace);
-        let (_, got_body) = read_frame(&mut &with_ctx[..]).unwrap().unwrap();
-        prop_assert_eq!(split_context(&got_body).unwrap().0, Some(span_less));
-
-        // Uncontexted: byte-identical to v1, and a v1 body splits to None.
-        let mut v2_none = Vec::new();
-        write_frame_ctx(&mut v2_none, corr_id, None, &body).unwrap();
-        let mut v1 = Vec::new();
-        write_frame(&mut v1, corr_id, &body).unwrap();
-        prop_assert_eq!(&v2_none, &v1);
-        let (_, got_body) = read_frame(&mut &v1[..]).unwrap().unwrap();
-        let (got_ctx, msg) = split_context(&got_body).unwrap();
-        prop_assert_eq!(got_ctx, None);
-        prop_assert_eq!(&Request::decode(msg).unwrap(), &request);
-    }
-
     /// The incremental [`FrameDecoder`] (the reactor's receive path) agrees
     /// with the blocking `read_frame` no matter how the byte stream is cut:
-    /// a mixed run of v1 / trace-only / span-carrying frames fed one byte at
-    /// a time — every split point a TCP segmentation could produce — and
-    /// again in arbitrary chunk sizes, yields the identical frame sequence,
-    /// with no frame surfacing before its last byte arrives.
+    /// a run of frames with every header shape, fed one byte at a time —
+    /// every split point a TCP segmentation could produce — and again in
+    /// arbitrary chunk sizes, yields the identical frame sequence, with no
+    /// frame surfacing before its last byte arrives.
     #[test]
     fn frame_decoder_agrees_with_read_frame_at_every_split(
-        frames in prop::collection::vec(
-            (
-                request_strategy(),
-                any::<u64>(),
-                prop::option::of((1..u64::MAX, any::<u64>())),
-            ),
-            1..5,
-        ),
+        frames in prop::collection::vec((request_strategy(), any::<u64>(), ctx_strategy()), 1..5),
         chunk_sizes in prop::collection::vec(1usize..9, 1..16),
     ) {
-        let mut stream = Vec::new();
-        for (request, corr_id, ctx) in &frames {
-            let ctx = ctx.map(|(trace, parent_span)| TraceContext { trace, parent_span });
-            write_frame_ctx(&mut stream, *corr_id, ctx, &request.encode()).unwrap();
-        }
-        let mut reader = &stream[..];
-        let mut expected = Vec::new();
-        while let Some((corr_id, body)) = read_frame(&mut reader).unwrap() {
-            expected.push((corr_id, body));
-        }
+        let (stream, expected) = frame_stream(&frames);
         prop_assert_eq!(expected.len(), frames.len());
 
         // Byte at a time: the worst case, hitting every split point.
@@ -428,9 +384,7 @@ proptest! {
         let mut got = Vec::new();
         for &byte in &stream {
             decoder.push(&[byte]);
-            while let Some((corr_id, body)) = decoder.next_frame().unwrap() {
-                got.push((corr_id, body.to_vec()));
-            }
+            drain(&mut decoder, &mut got);
         }
         prop_assert_eq!(&got, &expected);
         prop_assert!(decoder.is_idle(), "no partial frame may linger");
@@ -446,115 +400,82 @@ proptest! {
             let end = (offset + chunk).min(stream.len());
             decoder.push(&stream[offset..end]);
             offset = end;
-            while let Some((corr_id, body)) = decoder.next_frame().unwrap() {
-                got.push((corr_id, body.to_vec()));
-            }
+            drain(&mut decoder, &mut got);
         }
         prop_assert_eq!(&got, &expected);
         prop_assert!(decoder.is_idle());
+
+        for ((request, _, _), (_, _, body)) in frames.iter().zip(&got) {
+            prop_assert_eq!(&Request::decode(body).unwrap(), request);
+        }
     }
 
-    /// The isolation suffix rides every frame generation: appended after
-    /// the message it survives a v1, trace-only or span-carrying frame,
-    /// strips back to exactly the level the client pinned, and a
-    /// suffix-less body decodes to `None` (an old client at the default
-    /// level) — the backward-compatibility contract of `ISO_MARKER`.
+    /// Arbitrary bytes — and valid frames with one byte overwritten — never
+    /// panic either frame reader or either message decoder: every outcome
+    /// is a frame, "need more bytes", or a typed error.
     #[test]
-    fn isolation_suffix_rides_every_frame_generation(
-        request in request_strategy(),
+    fn malformed_input_never_panics(
+        garbage in prop::collection::vec(any::<u8>(), 0..96),
+        frames in prop::collection::vec((request_strategy(), any::<u64>(), ctx_strategy()), 1..3),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let (mut stream, _) = frame_stream(&frames);
+        let i = at % stream.len();
+        stream[i] = byte;
+        for input in [&garbage[..], &stream[..]] {
+            let _ = Request::decode(input);
+            let _ = Response::decode(input);
+            let mut reader = input;
+            while let Ok(Some(_)) = read_frame(&mut reader) {}
+            let mut decoder = FrameDecoder::new();
+            decoder.push(input);
+            while let Ok(Some((_, _, body))) = decoder.next_frame() {
+                let _ = Request::decode(&body);
+                let _ = Response::decode(&body);
+            }
+        }
+    }
+
+    /// The flags byte admits exactly three headers — no context, trace,
+    /// trace plus parent span. Any other value is corrupt in both readers,
+    /// even when the frame is long enough to hold the fields it claims.
+    #[test]
+    fn unknown_flag_bits_are_rejected(
+        flags in any::<u8>().prop_filter("a valid flags byte", |f| ![0, 1, 3].contains(f)),
         corr_id in any::<u64>(),
-        level_idx in 0..IsolationLevel::ALL.len(),
-        ctx in prop::option::of((1..u64::MAX, any::<u64>())),
     ) {
-        let level = IsolationLevel::ALL[level_idx];
-        let mut body = request.encode();
-        append_isolation(&mut body, level);
-        let ctx = ctx.map(|(trace, parent_span)| TraceContext { trace, parent_span });
+        let body = Request::Ping.encode();
         let mut framed = Vec::new();
-        write_frame_ctx(&mut framed, corr_id, ctx, &body).unwrap();
-        let (got_corr, got_body) = read_frame(&mut &framed[..]).unwrap().unwrap();
-        prop_assert_eq!(got_corr, corr_id);
-        let (got_ctx, msg) = split_context(&got_body).unwrap();
-        prop_assert_eq!(got_ctx, ctx);
-        let (got_req, got_level) = decode_request_iso(msg).unwrap();
-        prop_assert_eq!(&got_req, &request);
-        prop_assert_eq!(got_level, Some(level));
+        write_frame(&mut framed, corr_id, None, &body).unwrap();
+        framed[FRAME_HEADER - 1] = flags;
+        framed.extend_from_slice(&[0u8; 16]);
+        let len = (framed.len() - 4) as u32;
+        framed[..4].copy_from_slice(&len.to_le_bytes());
 
-        // The same body without the suffix carries no level pin.
-        let (got_req, got_level) = decode_request_iso(&request.encode()).unwrap();
-        prop_assert_eq!(&got_req, &request);
-        prop_assert_eq!(got_level, None);
-    }
-
-    /// A mixed stream of suffixed and plain requests across all frame
-    /// generations, fed to the incremental decoder one byte at a time
-    /// (every split point TCP segmentation could produce), agrees with the
-    /// blocking `read_frame`, and every body decodes back to exactly the
-    /// (request, level) pair that was framed.
-    #[test]
-    fn iso_suffixed_streams_survive_every_split_point(
-        frames in prop::collection::vec(
-            (
-                request_strategy(),
-                any::<u64>(),
-                prop::option::of(0..IsolationLevel::ALL.len()),
-                prop::option::of((1..u64::MAX, any::<u64>())),
-            ),
-            1..4,
-        ),
-    ) {
-        let mut stream = Vec::new();
-        for (request, corr_id, level_idx, ctx) in &frames {
-            let mut body = request.encode();
-            if let Some(i) = level_idx {
-                append_isolation(&mut body, IsolationLevel::ALL[*i]);
-            }
-            let ctx = ctx.map(|(trace, parent_span)| TraceContext { trace, parent_span });
-            write_frame_ctx(&mut stream, *corr_id, ctx, &body).unwrap();
-        }
-
-        let mut reader = &stream[..];
-        let mut expected = Vec::new();
-        while let Some((corr_id, body)) = read_frame(&mut reader).unwrap() {
-            expected.push((corr_id, body));
-        }
-        prop_assert_eq!(expected.len(), frames.len());
-
+        prop_assert!(read_frame(&mut &framed[..]).is_err());
         let mut decoder = FrameDecoder::new();
-        let mut got = Vec::new();
-        for &byte in &stream {
-            decoder.push(&[byte]);
-            while let Some((corr_id, body)) = decoder.next_frame().unwrap() {
-                got.push((corr_id, body.to_vec()));
-            }
-        }
-        prop_assert_eq!(&got, &expected);
-        prop_assert!(decoder.is_idle());
-
-        for ((request, _, level_idx, _), (_, body)) in frames.iter().zip(&got) {
-            let (_, msg) = split_context(body).unwrap();
-            let (req, level) = decode_request_iso(msg).unwrap();
-            prop_assert_eq!(&req, request);
-            prop_assert_eq!(level, level_idx.map(|i| IsolationLevel::ALL[i]));
-        }
+        decoder.push(&framed);
+        prop_assert!(matches!(decoder.next_frame(), Err(Error::Corrupt(_))));
     }
 }
 
 #[test]
 fn zero_length_values_survive_the_full_cycle() {
     let op = WriteOp { key: Bytes::new(), expect: Expect::Absent, value: Some(Bytes::new()) };
-    let request = Request::Write { op };
+    let request = Request::Op(StoreOp::Write { op });
     assert_eq!(Request::decode(&request.encode()).unwrap(), request);
 
-    let response = Response::Cell(Some((0, Bytes::new())));
+    let response = Response::Op(OpResult::Cell(Some((0, Bytes::new()))));
     assert_eq!(Response::decode(&response.encode()).unwrap(), response);
 }
 
 #[test]
 fn frame_decoder_rejects_desynchronized_lengths() {
-    // len < 8 (no room for the correlation id): corrupt, not "wait for more".
+    // len < 9 (no room for the correlation id and flags): corrupt, not
+    // "wait for more".
     let mut decoder = FrameDecoder::new();
-    decoder.push(&3u32.to_le_bytes());
+    decoder.push(&8u32.to_le_bytes());
     assert!(decoder.next_frame().is_err());
 
     // len > MAX_FRAME: corrupt immediately, before any body bytes arrive.
@@ -562,9 +483,19 @@ fn frame_decoder_rejects_desynchronized_lengths() {
     decoder.push(&((MAX_FRAME as u32) + 1).to_le_bytes());
     assert!(decoder.next_frame().is_err());
 
+    // Flags announcing a trace the frame is too short to hold: corrupt.
+    let mut short = Vec::new();
+    short.extend_from_slice(&12u32.to_le_bytes());
+    short.extend_from_slice(&7u64.to_le_bytes());
+    short.extend_from_slice(&[1, 0, 0, 0]);
+    let mut decoder = FrameDecoder::new();
+    decoder.push(&short);
+    assert!(decoder.next_frame().is_err());
+    assert!(read_frame(&mut &short[..]).is_err());
+
     // A mid-frame cut is not an error — just not a frame yet.
     let mut framed = Vec::new();
-    write_frame(&mut framed, 7, &Request::Ping.encode()).unwrap();
+    write_frame(&mut framed, 7, None, &Request::Ping.encode()).unwrap();
     let mut decoder = FrameDecoder::new();
     decoder.push(&framed[..framed.len() - 1]);
     assert!(decoder.next_frame().unwrap().is_none());
@@ -575,7 +506,7 @@ fn frame_decoder_rejects_desynchronized_lengths() {
 #[test]
 fn megabyte_keys_roundtrip() {
     let key = Bytes::from(vec![0xa5u8; 1 << 20]);
-    let request = Request::Get { key: key.clone() };
+    let request = Request::Op(StoreOp::Get { key: key.clone() });
     assert_eq!(Request::decode(&request.encode()).unwrap(), request);
 
     let response = Response::Rows(vec![(key, 7, Bytes::from_static(b"v"))]);

@@ -32,7 +32,7 @@ use tell_obs::{
     Counter, Gauge, HealthConfig, HealthEngine, HealthEvent, NodeTick, Registry, Rollup, TsPoint,
     TsRing,
 };
-use tell_store::{keys, StoreCluster};
+use tell_store::{keys, StoreApi, StoreCluster};
 
 use crate::checker::{self, CheckStats, Violation};
 use crate::history::{row_value, row_writer, History, LavScrape, TxnRecord};

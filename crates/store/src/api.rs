@@ -13,31 +13,33 @@
 
 use bytes::Bytes;
 use std::sync::Arc;
-use tell_common::Result;
+use tell_common::{Error, Result};
 use tell_netsim::NetMeter;
 
 use crate::cell::Token;
-use crate::client::{StoreClient, WriteOp};
+use crate::client::{Expect, StoreClient, WriteOp};
 use crate::cluster::StoreCluster;
-use crate::keys::Key;
+use crate::keys::{prefix_end, Key};
 use crate::op::{
     CounterHandle, GetHandle, MultiGetHandle, MultiWriteHandle, OpHandle, StoreOp, WriteHandle,
 };
 use crate::predicate::Predicate;
 
 /// Storage operations available to a processing node, commit manager or
-/// index. Mirrors [`StoreClient`]'s inherent methods; see those for cost
-/// accounting and semantics (LL/SC per §4.1, batching per §5.1).
+/// index (LL/SC per §4.1, batching per §5.1).
 ///
-/// The surface has two halves. The **asynchronous** half is primary:
-/// [`StoreApi::submit`] hands an operation to the client and returns an
-/// [`OpHandle`] immediately; independent operations submitted before the
-/// first `wait` share one submission window, which a remote client flushes
-/// as a *single* batched frame (§5.1's "aggressively batches operations").
-/// The **blocking** half (`get`, `put`, …) is kept for convenience and
-/// compatibility — implementations define it as submit-then-wait, so a
-/// blocking call issued while async operations are outstanding rides the
-/// same frame as the window it joins.
+/// Every point operation is a [`StoreOp`] value, and
+/// [`StoreApi::submit`] is the one way it reaches an implementation: it
+/// hands the operation to the client and returns an [`OpHandle`] at once.
+/// The `*_async` methods wrap `submit` in typed handles, and the blocking
+/// methods (`get`, `put`, …) are written once here as submit-then-wait.
+/// Independent operations submitted before the first `wait` share one
+/// submission window, which a remote client flushes as a *single* batched
+/// frame (§5.1's "aggressively batches operations"); a blocking call issued
+/// while async operations are outstanding rides the same frame.
+///
+/// An implementation supplies `submit`, the two range scans, the pushdown
+/// scan and `meter`; `scan_prefix` is a range scan up to [`prefix_end`].
 pub trait StoreApi: Clone {
     /// Submit `op` for asynchronous execution. The returned handle may be
     /// waited on at any later point, or dropped to fire-and-forget.
@@ -69,31 +71,56 @@ pub trait StoreApi: Clone {
     }
 
     /// Load-link: read `key`, returning its token and value.
-    fn get(&self, key: &Key) -> Result<Option<(Token, Bytes)>>;
+    fn get(&self, key: &Key) -> Result<Option<(Token, Bytes)>> {
+        self.get_async(key).wait()
+    }
 
     /// Batched load-link of several keys in one exchange.
-    fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<(Token, Bytes)>>>;
+    fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<(Token, Bytes)>>> {
+        self.multi_get_async(keys).wait()
+    }
 
     /// Unconditional upsert; returns the new token.
-    fn put(&self, key: &Key, value: Bytes) -> Result<Token>;
+    fn put(&self, key: &Key, value: Bytes) -> Result<Token> {
+        let op = WriteOp::put(key.clone(), Expect::Any, value);
+        written_token(self.write_async(op).wait(), "put")
+    }
 
     /// Insert; fails with `Conflict` if the key exists.
-    fn insert(&self, key: &Key, value: Bytes) -> Result<Token>;
+    fn insert(&self, key: &Key, value: Bytes) -> Result<Token> {
+        let op = WriteOp::put(key.clone(), Expect::Absent, value);
+        written_token(self.write_async(op).wait(), "insert")
+    }
 
-    /// Store-conditional: write only if the cell still carries `token`.
-    fn store_conditional(&self, key: &Key, token: Token, value: Bytes) -> Result<Token>;
+    /// Store-conditional: write only if the cell still carries `token`
+    /// from our load-link — the paper's conflict-detection primitive
+    /// (§4.1).
+    fn store_conditional(&self, key: &Key, token: Token, value: Bytes) -> Result<Token> {
+        let op = WriteOp::put(key.clone(), Expect::Token(token), value);
+        written_token(self.write_async(op).wait(), "store_conditional")
+    }
 
     /// Delete only if the cell still carries `token`.
-    fn delete_conditional(&self, key: &Key, token: Token) -> Result<()>;
+    fn delete_conditional(&self, key: &Key, token: Token) -> Result<()> {
+        self.write_async(WriteOp::delete(key.clone(), Expect::Token(token))).wait().map(drop)
+    }
 
     /// Unconditional delete (no-op when missing).
-    fn delete(&self, key: &Key) -> Result<()>;
+    fn delete(&self, key: &Key) -> Result<()> {
+        self.write_async(WriteOp::delete(key.clone(), Expect::Any)).wait().map(drop)
+    }
 
-    /// Batched conditional writes: one exchange, independent per-op results.
-    fn multi_write(&self, ops: Vec<WriteOp>) -> Result<Vec<Result<Option<Token>>>>;
+    /// Batched conditional writes: one exchange, independent per-op results
+    /// (the batch is a network optimisation, not an atomic unit — commit
+    /// atomicity lives in the transaction layer above, §4.3).
+    fn multi_write(&self, ops: Vec<WriteOp>) -> Result<Vec<Result<Option<Token>>>> {
+        self.multi_write_async(ops).wait()
+    }
 
-    /// Atomic fetch-and-add.
-    fn increment(&self, key: &Key, delta: u64) -> Result<u64>;
+    /// Atomic fetch-and-add, used to allocate tid/rid ranges (§4.2).
+    fn increment(&self, key: &Key, delta: u64) -> Result<u64> {
+        self.increment_async(key, delta).wait()
+    }
 
     /// Ordered scan of `[start, end)`, at most `limit` entries.
     fn scan_range(
@@ -103,7 +130,8 @@ pub trait StoreApi: Clone {
         limit: usize,
     ) -> Result<Vec<(Key, Token, Bytes)>>;
 
-    /// Reverse-ordered scan of `[start, end)` (largest key first).
+    /// Reverse-ordered scan of `[start, end)` (largest key first). Used by
+    /// recovery to iterate the transaction log backwards (§4.4.1).
     fn scan_range_rev(
         &self,
         start: &[u8],
@@ -112,12 +140,15 @@ pub trait StoreApi: Clone {
     ) -> Result<Vec<(Key, Token, Bytes)>>;
 
     /// Scan every key starting with `prefix`.
-    fn scan_prefix(&self, prefix: &[u8], limit: usize) -> Result<Vec<(Key, Token, Bytes)>>;
+    fn scan_prefix(&self, prefix: &[u8], limit: usize) -> Result<Vec<(Key, Token, Bytes)>> {
+        self.scan_range(prefix, prefix_end(prefix).as_deref(), limit)
+    }
 
     /// Prefix scan with a [`Predicate`] pushed down to the storage node
-    /// (§5.2). The predicate is serializable, so the remote client ships it
-    /// in the request and only matching rows cross the network — local and
-    /// remote transports now account bandwidth identically.
+    /// (§5.2: selection next to the data shrinks the result set sent over
+    /// the network). Every scanned row costs server CPU, but only matching
+    /// rows cross the network; the predicate is serializable, so the
+    /// remote client ships the very same expression in its request.
     fn scan_prefix_pushdown(
         &self,
         prefix: &[u8],
@@ -129,81 +160,10 @@ pub trait StoreApi: Clone {
     fn meter(&self) -> &NetMeter;
 }
 
-impl StoreApi for StoreClient {
-    fn submit(&self, op: StoreOp) -> OpHandle {
-        StoreClient::submit(self, op)
-    }
-
-    fn get(&self, key: &Key) -> Result<Option<(Token, Bytes)>> {
-        StoreClient::get(self, key)
-    }
-
-    fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<(Token, Bytes)>>> {
-        StoreClient::multi_get(self, keys)
-    }
-
-    fn put(&self, key: &Key, value: Bytes) -> Result<Token> {
-        StoreClient::put(self, key, value)
-    }
-
-    fn insert(&self, key: &Key, value: Bytes) -> Result<Token> {
-        StoreClient::insert(self, key, value)
-    }
-
-    fn store_conditional(&self, key: &Key, token: Token, value: Bytes) -> Result<Token> {
-        StoreClient::store_conditional(self, key, token, value)
-    }
-
-    fn delete_conditional(&self, key: &Key, token: Token) -> Result<()> {
-        StoreClient::delete_conditional(self, key, token)
-    }
-
-    fn delete(&self, key: &Key) -> Result<()> {
-        StoreClient::delete(self, key)
-    }
-
-    fn multi_write(&self, ops: Vec<WriteOp>) -> Result<Vec<Result<Option<Token>>>> {
-        StoreClient::multi_write(self, ops)
-    }
-
-    fn increment(&self, key: &Key, delta: u64) -> Result<u64> {
-        StoreClient::increment(self, key, delta)
-    }
-
-    fn scan_range(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        limit: usize,
-    ) -> Result<Vec<(Key, Token, Bytes)>> {
-        StoreClient::scan_range(self, start, end, limit)
-    }
-
-    fn scan_range_rev(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        limit: usize,
-    ) -> Result<Vec<(Key, Token, Bytes)>> {
-        StoreClient::scan_range_rev(self, start, end, limit)
-    }
-
-    fn scan_prefix(&self, prefix: &[u8], limit: usize) -> Result<Vec<(Key, Token, Bytes)>> {
-        StoreClient::scan_prefix(self, prefix, limit)
-    }
-
-    fn scan_prefix_pushdown(
-        &self,
-        prefix: &[u8],
-        limit: usize,
-        filter: &Predicate,
-    ) -> Result<Vec<(Key, Token, Bytes)>> {
-        StoreClient::scan_prefix_pushdown(self, prefix, limit, filter)
-    }
-
-    fn meter(&self) -> &NetMeter {
-        StoreClient::meter(self)
-    }
+/// The token a put-shaped write must return; a write that reports none is
+/// a protocol fault, not a panic.
+fn written_token(written: Result<Option<Token>>, what: &str) -> Result<Token> {
+    written?.ok_or_else(|| Error::corrupt(format!("{what} returned no token")))
 }
 
 /// A `Send + Sync` handle to a storage service from which per-worker
@@ -231,5 +191,65 @@ impl StoreEndpoint for Arc<StoreCluster> {
 
     fn client(&self, meter: NetMeter) -> StoreClient {
         StoreClient::new(Arc::clone(self), meter)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::op::OpResult;
+
+    /// A client whose every write completes without a token.
+    #[derive(Clone)]
+    struct Tokenless(NetMeter);
+
+    impl StoreApi for Tokenless {
+        fn submit(&self, _op: StoreOp) -> OpHandle {
+            OpHandle::ready(Ok(OpResult::Written(None)))
+        }
+
+        fn scan_range(
+            &self,
+            _: &[u8],
+            _: Option<&[u8]>,
+            _: usize,
+        ) -> Result<Vec<(Key, Token, Bytes)>> {
+            Ok(Vec::new())
+        }
+
+        fn scan_range_rev(
+            &self,
+            _: &[u8],
+            _: Option<&[u8]>,
+            _: usize,
+        ) -> Result<Vec<(Key, Token, Bytes)>> {
+            Ok(Vec::new())
+        }
+
+        fn scan_prefix_pushdown(
+            &self,
+            _: &[u8],
+            _: usize,
+            _: &Predicate,
+        ) -> Result<Vec<(Key, Token, Bytes)>> {
+            Ok(Vec::new())
+        }
+
+        fn meter(&self) -> &NetMeter {
+            &self.0
+        }
+    }
+
+    #[test]
+    fn token_writes_without_a_token_are_corrupt_not_a_panic() {
+        let c = Tokenless(NetMeter::free());
+        let key = Bytes::from_static(b"k");
+        let value = || Bytes::from_static(b"v");
+        assert!(matches!(c.put(&key, value()), Err(Error::Corrupt(_))));
+        assert!(matches!(c.insert(&key, value()), Err(Error::Corrupt(_))));
+        assert!(matches!(c.store_conditional(&key, 7, value()), Err(Error::Corrupt(_))));
+        // Deletes expect no token.
+        assert_eq!(c.delete(&key), Ok(()));
+        assert_eq!(c.delete_conditional(&key, 7), Ok(()));
     }
 }

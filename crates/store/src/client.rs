@@ -2,8 +2,8 @@
 //!
 //! Every processing node (and every worker thread inside one) holds its own
 //! `StoreClient`. The client is where network time is spent: each call
-//! charges the worker's virtual clock through a [`NetMeter`]. Batched calls
-//! ([`StoreClient::multi_get`], [`StoreClient::multi_write`]) charge a
+//! charges the worker's virtual clock through a [`NetMeter`]. Batched
+//! operations (`StoreOp::MultiGet`, `StoreOp::MultiWrite`) charge a
 //! *single* exchange — this implements the paper's claim that "batching
 //! enables transactions to access multiple records with a single request"
 //! (§5.1).
@@ -14,8 +14,9 @@ use bytes::Bytes;
 use tell_common::{Error, Result};
 use tell_netsim::NetMeter;
 
+use crate::api::StoreApi;
 use crate::cell::Token;
-use crate::cluster::{Expect as ClusterExpect, Mutation, StoreCluster};
+use crate::cluster::{Mutation, StoreCluster};
 use crate::keys::{prefix_end, Key};
 use crate::op::{OpHandle, OpResult, StoreOp};
 use crate::predicate::Predicate;
@@ -80,39 +81,7 @@ impl StoreClient {
         &self.cluster
     }
 
-    /// The meter charging this worker's clock.
-    pub fn meter(&self) -> &NetMeter {
-        &self.meter
-    }
-
-    /// Submit an operation asynchronously. The local cluster is in-process
-    /// memory, so the operation executes *now* — through the very blocking
-    /// methods below, which keeps the simulated-clock accounting identical
-    /// whether a caller uses the async or the blocking surface — and the
-    /// returned handle is already complete. Overlap is a remote-transport
-    /// phenomenon; in the simulation it is already priced into the batched
-    /// multi-op charges (§5.1).
-    pub fn submit(&self, op: StoreOp) -> OpHandle {
-        let result = match op {
-            StoreOp::Get { key } => self.get(&key).map(OpResult::Cell),
-            StoreOp::MultiGet { keys } => self.multi_get(&keys).map(OpResult::Cells),
-            StoreOp::Write { op } => match (&op.expect, &op.value) {
-                // Same refusal the wire server gives this shape, so the two
-                // transports stay behaviorally identical.
-                (Expect::Absent, None) => {
-                    Err(Error::invalid("delete with Expect::Absent is meaningless"))
-                }
-                _ => self.write_one(&op.key, op.expect, op.value).map(OpResult::Written),
-            },
-            StoreOp::MultiWrite { ops } => self.multi_write(ops).map(OpResult::WriteResults),
-            StoreOp::Increment { key, delta } => self.increment(&key, delta).map(OpResult::Counter),
-        };
-        OpHandle::ready(result)
-    }
-
-    /// Load-link: read `key`, returning its token and value. The token is
-    /// the link for a later [`StoreClient::store_conditional`].
-    pub fn get(&self, key: &Key) -> Result<Option<(Token, Bytes)>> {
+    fn read_one(&self, key: &Key) -> Result<Option<(Token, Bytes)>> {
         let _frame = tell_obs::FrameGuard::enter(tell_obs::FrameKind::StoreRead);
         self.meter.stats().note_reads(1);
         tell_obs::incr(tell_obs::Counter::StoreReadOps);
@@ -123,7 +92,7 @@ impl StoreClient {
     }
 
     /// Batched load-link of several keys: **one** network exchange.
-    pub fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<(Token, Bytes)>>> {
+    fn read_many(&self, keys: &[Key]) -> Result<Vec<Option<(Token, Bytes)>>> {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
@@ -143,37 +112,9 @@ impl StoreClient {
         Ok(out)
     }
 
-    /// Unconditional upsert. Returns the new token.
-    pub fn put(&self, key: &Key, value: Bytes) -> Result<Token> {
-        self.write_one(key, Expect::Any, Some(value)).map(|t| t.expect("put returns a token"))
-    }
-
-    /// Insert; fails with `Conflict` if the key exists.
-    pub fn insert(&self, key: &Key, value: Bytes) -> Result<Token> {
-        self.write_one(key, Expect::Absent, Some(value)).map(|t| t.expect("insert returns a token"))
-    }
-
-    /// Store-conditional: write `value` only if the cell still carries
-    /// `token` from our load-link. This is the paper's conflict-detection
-    /// primitive (§4.1).
-    pub fn store_conditional(&self, key: &Key, token: Token, value: Bytes) -> Result<Token> {
-        self.write_one(key, Expect::Token(token), Some(value))
-            .map(|t| t.expect("sc returns a token"))
-    }
-
-    /// Conditional delete.
-    pub fn delete_conditional(&self, key: &Key, token: Token) -> Result<()> {
-        self.write_one(key, Expect::Token(token), None).map(|_| ())
-    }
-
-    /// Unconditional delete (no-op when missing).
-    pub fn delete(&self, key: &Key) -> Result<()> {
-        self.write_one(key, Expect::Any, None).map(|_| ())
-    }
-
-    fn write_one(&self, key: &Key, expect: Expect, value: Option<Bytes>) -> Result<Option<Token>> {
-        let payload = key.len() + value.as_ref().map(|v| v.len()).unwrap_or(0) + OP_OVERHEAD;
-        let mutation = match value {
+    fn write_one(&self, op: WriteOp) -> Result<Option<Token>> {
+        let payload = op.payload_len();
+        let mutation = match op.value {
             Some(v) => Mutation::Put(v),
             None => Mutation::Delete,
         };
@@ -183,17 +124,15 @@ impl StoreClient {
         self.meter.stats().note_writes(1);
         tell_obs::incr(tell_obs::Counter::StoreWriteOps);
         self.meter.charge_request(payload, ACK_BYTES, 1);
-        let (token, replicas) = self.cluster.srv_write(key, to_cluster(expect), mutation)?;
+        let (token, replicas) = self.cluster.srv_write(&op.key, op.expect, mutation)?;
         if replicas > 0 {
             self.meter.charge_replication(replicas, payload);
         }
         Ok(token)
     }
 
-    /// Batched conditional writes: one exchange, independent per-op results
-    /// (the batch is a network optimisation, not an atomic unit — commit
-    /// atomicity lives in the transaction layer above, §4.3).
-    pub fn multi_write(&self, ops: Vec<WriteOp>) -> Result<Vec<Result<Option<Token>>>> {
+    /// Batched conditional writes: one exchange, independent per-op results.
+    fn write_many(&self, ops: Vec<WriteOp>) -> Result<Vec<Result<Option<Token>>>> {
         if ops.is_empty() {
             return Ok(Vec::new());
         }
@@ -218,7 +157,7 @@ impl StoreClient {
                 Some(v) => Mutation::Put(v),
                 None => Mutation::Delete,
             };
-            match self.cluster.srv_write(&op.key, to_cluster(op.expect), mutation) {
+            match self.cluster.srv_write(&op.key, op.expect, mutation) {
                 Ok((token, replicas)) => {
                     if replicas > 0 {
                         // Synchronous replication is per written object: the
@@ -243,66 +182,11 @@ impl StoreClient {
         Ok(results)
     }
 
-    /// Atomic fetch-and-add, used to allocate tid/rid ranges (§4.2 "PNs can
-    /// increment the counter by a high value to acquire a range").
-    pub fn increment(&self, key: &Key, delta: u64) -> Result<u64> {
+    fn fetch_add(&self, key: &Key, delta: u64) -> Result<u64> {
         self.meter.stats().note_writes(1);
         tell_obs::incr(tell_obs::Counter::StoreWriteOps);
         self.meter.charge_request(key.len() + 8 + OP_OVERHEAD, ACK_BYTES + 8, 1);
         self.cluster.srv_increment(key, delta)
-    }
-
-    /// Ordered scan of `[start, end)`, at most `limit` entries.
-    pub fn scan_range(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        limit: usize,
-    ) -> Result<Vec<(Key, Token, Bytes)>> {
-        self.scan(start, end, limit, false)
-    }
-
-    /// Reverse-ordered scan (largest key first) of `[start, end)`. Used by
-    /// recovery to iterate the transaction log backwards (§4.4.1).
-    pub fn scan_range_rev(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        limit: usize,
-    ) -> Result<Vec<(Key, Token, Bytes)>> {
-        self.scan(start, end, limit, true)
-    }
-
-    /// Scan every key starting with `prefix`.
-    pub fn scan_prefix(&self, prefix: &[u8], limit: usize) -> Result<Vec<(Key, Token, Bytes)>> {
-        let end = prefix_end(prefix);
-        self.scan(prefix, end.as_deref(), limit, false)
-    }
-
-    /// Scan with a **pushed-down filter** (§5.2 of the paper: "executing
-    /// simple operations such as selection or projection in the SN would
-    /// enable to reduce the size of the result set and lower the amount of
-    /// data sent over the network"). The storage nodes evaluate `filter`
-    /// server-side: every scanned row costs server CPU, but only matching
-    /// rows cross the network. The filter is a serializable [`Predicate`],
-    /// so the remote transport ships the very same expression in its frame.
-    pub fn scan_prefix_pushdown(
-        &self,
-        prefix: &[u8],
-        limit: usize,
-        filter: &Predicate,
-    ) -> Result<Vec<(Key, Token, Bytes)>> {
-        let end = prefix_end(prefix);
-        let (rows, masters) = self.cluster.srv_scan(prefix, end.as_deref(), usize::MAX, false)?;
-        let scanned = rows.len();
-        let mut out: Vec<(Key, Token, Bytes)> =
-            rows.into_iter().filter(|(k, _, v)| filter.matches(k, v)).collect();
-        out.truncate(limit);
-        let in_bytes: usize =
-            out.iter().map(|(k, _, v)| k.len() + v.len() + 16).sum::<usize>() + ACK_BYTES;
-        self.meter.charge_request((prefix.len() + OP_OVERHEAD) * masters.max(1), in_bytes, 1);
-        self.meter.charge_cpu(scanned as f64 * SCAN_ROW_CPU_US);
-        Ok(out)
     }
 
     fn scan(
@@ -323,8 +207,67 @@ impl StoreClient {
     }
 }
 
-fn to_cluster(e: Expect) -> ClusterExpect {
-    e
+impl StoreApi for StoreClient {
+    /// Execute `op` now. The local cluster is in-process memory, so the
+    /// returned handle is already complete; overlap is a remote-transport
+    /// phenomenon, and in the simulation it is already priced into the
+    /// batched multi-op charges (§5.1).
+    fn submit(&self, op: StoreOp) -> OpHandle {
+        let result = match op {
+            StoreOp::Get { key } => self.read_one(&key).map(OpResult::Cell),
+            StoreOp::MultiGet { keys } => self.read_many(&keys).map(OpResult::Cells),
+            StoreOp::Write { op } => match (&op.expect, &op.value) {
+                (Expect::Absent, None) => {
+                    Err(Error::invalid("delete with Expect::Absent is meaningless"))
+                }
+                _ => self.write_one(op).map(OpResult::Written),
+            },
+            StoreOp::MultiWrite { ops } => self.write_many(ops).map(OpResult::WriteResults),
+            StoreOp::Increment { key, delta } => self.fetch_add(&key, delta).map(OpResult::Counter),
+        };
+        OpHandle::ready(result)
+    }
+
+    fn scan_range(
+        &self,
+        start: &[u8],
+        end: Option<&[u8]>,
+        limit: usize,
+    ) -> Result<Vec<(Key, Token, Bytes)>> {
+        self.scan(start, end, limit, false)
+    }
+
+    fn scan_range_rev(
+        &self,
+        start: &[u8],
+        end: Option<&[u8]>,
+        limit: usize,
+    ) -> Result<Vec<(Key, Token, Bytes)>> {
+        self.scan(start, end, limit, true)
+    }
+
+    fn scan_prefix_pushdown(
+        &self,
+        prefix: &[u8],
+        limit: usize,
+        filter: &Predicate,
+    ) -> Result<Vec<(Key, Token, Bytes)>> {
+        let end = prefix_end(prefix);
+        let (rows, masters) = self.cluster.srv_scan(prefix, end.as_deref(), usize::MAX, false)?;
+        let scanned = rows.len();
+        let mut out: Vec<(Key, Token, Bytes)> =
+            rows.into_iter().filter(|(k, _, v)| filter.matches(k, v)).collect();
+        out.truncate(limit);
+        let in_bytes: usize =
+            out.iter().map(|(k, _, v)| k.len() + v.len() + 16).sum::<usize>() + ACK_BYTES;
+        self.meter.charge_request((prefix.len() + OP_OVERHEAD) * masters.max(1), in_bytes, 1);
+        self.meter.charge_cpu(scanned as f64 * SCAN_ROW_CPU_US);
+        Ok(out)
+    }
+
+    fn meter(&self) -> &NetMeter {
+        &self.meter
+    }
 }
 
 #[cfg(test)]

@@ -5,9 +5,9 @@
 //! partitioned key-value store with
 //!
 //! * atomic `get`/`put` on single records,
-//! * **LL/SC**: [`client::StoreClient::get`] is the load-link (it returns a
-//!   store token alongside the value) and
-//!   [`client::StoreClient::store_conditional`] is the store-conditional —
+//! * **LL/SC**: [`StoreApi::get`] is the load-link (it returns a store
+//!   token alongside the value) and [`StoreApi::store_conditional`] is the
+//!   store-conditional —
 //!   it succeeds only if the token is unchanged. Tokens are
 //!   partition-monotonic, so a delete/re-insert can never reuse a token and
 //!   the ABA problem (§4.1) cannot occur,

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use proptest::prelude::*;
 use tell_common::{Error, SnId};
-use tell_store::{StoreClient, StoreCluster, StoreConfig};
+use tell_store::{StoreApi, StoreClient, StoreCluster, StoreConfig};
 
 #[derive(Clone, Debug)]
 enum Op {

@@ -55,15 +55,17 @@ cargo clippy --workspace -- -D warnings
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+# Every package's unit and integration tests, not just the root package's.
+cargo test -q --workspace
 
-echo "==> rpc e2e (reactor lifecycle, wire proptests, client/server suite)"
-# Named explicitly even though the workspace run above includes them: the
+echo "==> rpc e2e (reactor lifecycle, wire proptests, store parity, client/server suite)"
+# Named explicitly although the workspace run above already runs them: the
 # reactor's failure-shape tests (shutdown under load, peers dying
-# mid-frame, backpressure) are the gate for any transport change, and an
-# explicit invocation keeps them from silently falling out of the suite.
-cargo test -q -p tell-rpc --test e2e --test reactor_e2e --test wire_proptests
+# mid-frame, backpressure) and the local/remote StoreApi parity script are
+# the gate for any transport change, and an explicit invocation keeps them
+# from silently falling out of the suite.
+cargo test -q -p tell-rpc --test e2e --test reactor_e2e --test wire_proptests --test store_parity
 
 echo "==> bench JSON smoke (scripts/bench_report.sh --smoke)"
 scripts/bench_report.sh --smoke
